@@ -20,7 +20,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("ablation_layout", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("ablation_layout", flags.text("json"));
     bench::banner("Ablation: cohort buffer layout (Section 4.3.2)",
                   "Section 4.3.2 (transpose + whitespace padding)");
 
@@ -36,11 +38,8 @@ main(int argc, char **argv)
         {"row-major (no transpose)", false, false},
     };
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.recordConfig(report);
+    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"layout", "KReqs/s", "avg latency ms",
                        "device util", "SIMD eff"});
@@ -52,8 +51,8 @@ main(int argc, char **argv)
         opts.cohorts = 10;
         opts.users = 2000;
         opts.laneSample = 128;
-        faults.apply(opts);
-        overlap.apply(opts);
+        bench::applyFaults(flags, opts);
+        bench::applyOverlap(flags, opts);
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::AccountSummary, opts);
         table.addRow({cfg.name, bench::fmt(r.throughput / 1e3, 0),

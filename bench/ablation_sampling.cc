@@ -18,7 +18,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("ablation_sampling", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("ablation_sampling", flags.text("json"));
     bench::banner("Methodology: lane-sampling fidelity",
                   "DESIGN.md Section 5 (profile scaling)");
 
@@ -27,13 +29,10 @@ main(int argc, char **argv)
     platform::IsolatedRunOptions opts;
     opts.cohorts = 6;
     opts.users = 1000;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.apply(opts);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
-    overlap.recordConfig(report);
+    bench::applyFaults(flags, opts);
+    report.config(flags, bench::kFaultFlags);
+    bench::applyOverlap(flags, opts);
+    report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"lanes executed / cohort", "KReqs/s",
                        "latency ms", "throughput error %"});

@@ -132,23 +132,23 @@ runOnce(bool cache_on, unsigned threads, uint32_t cohorts)
     return r;
 }
 
+constexpr Flag kSpeedupFlagRows[] = {
+    Flag::u64("cohorts", 1, 1000, "24", "cohorts per measured run"),
+};
+constexpr FlagGroup kSpeedupFlags{"run shape", kSpeedupFlagRows};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("sim_speedup", argc, argv);
+    const Flags flags = bench::parseArgs(argc, argv, {&kSpeedupFlags});
+    bench::Reporter report("sim_speedup", flags.text("json"));
     bench::banner("Simulator speedup: warp profile cache",
                   "host-side optimization (no paper counterpart)");
 
-    uint32_t cohorts = 24;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg.rfind("--cohorts=", 0) == 0)
-            cohorts = static_cast<uint32_t>(
-                std::atoi(std::string(arg.substr(10)).c_str()));
-    }
+    const uint32_t cohorts = static_cast<uint32_t>(flags.u64("cohorts"));
 
     const RunResult off1 = runOnce(false, 1, cohorts);
     const RunResult on1 = runOnce(true, 1, cohorts);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helpers for the benchmark harness: paper reference values and
- * uniform printing. Every bench binary regenerates one table or figure
+ * Shared helpers for the benchmark harness: paper reference values,
+ * uniform printing, the --json Reporter and the command-line flag
+ * families. Every bench binary regenerates one table or figure
  * of the paper and prints measured rows next to the paper's reference
  * values so the shape comparison is immediate.
  */
@@ -11,8 +12,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <span>
@@ -34,32 +35,12 @@
 #include "rhythm/fleet.hh"
 #include "rhythm/server.hh"
 #include "simt/device.hh"
+#include "util/flags.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
 namespace rhythm::bench {
-
-/**
- * Applies a `--sim-threads=N` argument (host-side parallelism of the
- * simulator's execution engine; default 1 = serial) to the global sim
- * pool. Called by the Reporter constructor, so every bench accepts the
- * flag; rhythm_sim parses it through its own Flags machinery. N only
- * changes wall-clock time — all simulated outputs are byte-identical
- * by the engine's determinism contract, which is why the value is
- * deliberately NOT recorded in the --json config section.
- */
-inline void
-applySimThreads(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg.rfind("--sim-threads=", 0) == 0) {
-            const int n = std::atoi(std::string(arg.substr(14)).c_str());
-            util::setSimThreads(n > 0 ? static_cast<unsigned>(n) : 1);
-        }
-    }
-}
 
 /** Paper Table 3 reference values for one platform row. */
 struct PaperTable3Row
@@ -175,16 +156,13 @@ peakRssKb()
 class Reporter
 {
   public:
-    /** @param bench Stable bench name (matches the binary name). */
-    Reporter(std::string bench, int argc, char **argv)
-        : bench_(std::move(bench))
+    /**
+     * @param bench Stable bench name (matches the binary name).
+     * @param path  The --json output file; empty = disabled.
+     */
+    Reporter(std::string bench, std::string path)
+        : bench_(std::move(bench)), path_(std::move(path))
     {
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--json=", 0) == 0)
-                path_ = std::string(arg.substr(7));
-        }
-        applySimThreads(argc, argv);
     }
 
     /** True when --json=<path> was passed. */
@@ -198,6 +176,17 @@ class Reporter
     void config(std::string key, std::string value)
     {
         config_.push_back({std::move(key), 0.0, std::move(value), true});
+    }
+
+    /** Records the config entries @p group's rows declare for this run. */
+    void config(const Flags &flags, const FlagGroup &group)
+    {
+        for (auto &[key, value] : flags.config(group)) {
+            if (const double *num = std::get_if<double>(&value))
+                config(std::string(key), *num);
+            else
+                config(std::string(key), std::get<std::string>(value));
+        }
     }
 
     /** Records one gate-comparable metric. */
@@ -311,769 +300,507 @@ class Reporter
         std::chrono::steady_clock::now();
 };
 
-/**
- * Shared fault-injection / robustness flag vocabulary for the bench
- * binaries — the same names rhythm_sim accepts, parsed from argv by
- * prefix scan so every bench registers the whole family with one
- * FaultFlags::parse call. Every knob defaults off: a bench invoked
- * without fault flags produces byte-identical output to one that never
- * supported them.
- *
- *   --fault-seed=N          fault plan seed (1)
- *   --backend-fail=P        backend call failure probability
- *   --backend-slow=P        backend brownout probability
- *   --backend-slow-ms=X     mean brownout delay (5.0)
- *   --pcie-corrupt=P        PCIe corruption probability
- *   --pcie-degrade=P        PCIe degradation probability
- *   --pcie-degrade-factor=X degradation slowdown (2.0)
- *   --stall=P               stream stall probability
- *   --stall-ms=X            mean stall duration (1.0)
- *   --disconnect=P          client disconnect probability
- *   --crash=P               backend crash probability (per mutation)
- *   --torn=P                torn journal tail probability (per crash)
- *   --hang=P                kernel hang probability (per cohort)
- *   --hang-ms=X             mean injected hang stall (500)
- *   --watchdog-ms=X         cohort watchdog timeout (0 = off)
- *   --pcie-crc              PCIe frame CRC + bounded retransmit
- *   --recovery              write-ahead-journaled backend
- *   --checkpoint-interval=N journaled mutations per checkpoint (4096)
- *   --retry-budget=N        backend retries per cohort
- *   --backoff-us=X          retry backoff base (50)
- *   --deadline-ms=X         per-request deadline
- *   --shed-backlog=N        shed above this formation backlog
- *   --shed-p99-ms=X         shed above this observed p99
- */
-struct FaultFlags
+// ---- Command-line flag families ---------------------------------------
+//
+// rhythm_sim and every bench declare the families they accept (plus any
+// flags of their own); the rows below are each flag's single source of
+// type, range, default, help line and --json config key. The functions
+// after each table overlay the parsed values onto the simulator configs.
+
+/** Flags every binary accepts. --sim-threads changes host wall-clock
+ *  only (the engine's determinism contract), so it is never recorded. */
+inline constexpr Flag kRunFlagRows[] = {
+    Flag::path("json", "write the machine-readable result document"),
+    Flag::u64("sim-threads", 1, 256, "1",
+              "host worker threads of the execution engine (outputs "
+              "are byte-identical for any N)"),
+};
+inline constexpr FlagGroup kRunFlags{"output and host parallelism",
+                                     kRunFlagRows};
+
+/** A flag's value in ms as simulated time. */
+inline des::Time
+millis(const Flags &f, std::string_view name)
 {
-    fault::FaultConfig config;
-    uint32_t retryBudget = 0;
-    des::Time retryBackoff = 50 * des::kMicrosecond;
-    des::Time deadline = 0;
-    uint32_t shedBacklog = 0;
-    des::Time shedP99 = 0;
-    des::Time watchdogTimeout = 0;
-    bool pcieCrc = false;
-    bool recovery = false;
-    uint64_t checkpointInterval = 4096;
-    bool anyGiven = false; //!< Any flag of the family was present.
+    return des::fromSeconds(f.real(name) / 1e3);
+}
 
-    /** Parses the family out of argv (unknown flags are ignored —
-     *  benches have their own vocabulary on top). */
-    static FaultFlags parse(int argc, char **argv)
-    {
-        FaultFlags f;
-        auto num = [&](std::string_view arg, std::string_view name,
-                       double &out) {
-            if (!arg.starts_with("--") ||
-                arg.substr(2, name.size()) != name ||
-                arg.size() <= 2 + name.size() ||
-                arg[2 + name.size()] != '=')
-                return false;
-            out = std::atof(
-                std::string(arg.substr(3 + name.size())).c_str());
-            f.anyGiven = true;
-            return true;
-        };
-        auto flag = [&](std::string_view arg, std::string_view name) {
-            if (arg.substr(2) != name)
-                return false;
-            f.anyGiven = true;
-            return true;
-        };
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            double v = 0.0;
-            if (num(arg, "fault-seed", v))
-                f.config.seed = static_cast<uint64_t>(v);
-            else if (num(arg, "backend-fail", v))
-                f.config.at(fault::Site::BackendFail).probability = v;
-            else if (num(arg, "backend-slow-ms", v))
-                f.config.at(fault::Site::BackendSlow).meanDelay =
-                    des::fromSeconds(v / 1e3);
-            else if (num(arg, "backend-slow", v))
-                f.config.at(fault::Site::BackendSlow).probability = v;
-            else if (num(arg, "pcie-corrupt", v))
-                f.config.at(fault::Site::PcieCorrupt).probability = v;
-            else if (num(arg, "pcie-degrade-factor", v))
-                f.config.at(fault::Site::PcieDegrade).factor = v;
-            else if (num(arg, "pcie-degrade", v))
-                f.config.at(fault::Site::PcieDegrade).probability = v;
-            else if (num(arg, "stall-ms", v))
-                f.config.at(fault::Site::StreamStall).meanDelay =
-                    des::fromSeconds(v / 1e3);
-            else if (num(arg, "stall", v))
-                f.config.at(fault::Site::StreamStall).probability = v;
-            else if (num(arg, "disconnect", v))
-                f.config.at(fault::Site::ClientDisconnect).probability =
-                    v;
-            else if (num(arg, "crash", v))
-                f.config.at(fault::Site::BackendCrash).probability = v;
-            else if (num(arg, "torn", v))
-                f.config.at(fault::Site::JournalTorn).probability = v;
-            else if (num(arg, "hang-ms", v))
-                f.config.at(fault::Site::KernelHang).meanDelay =
-                    des::fromSeconds(v / 1e3);
-            else if (num(arg, "hang", v))
-                f.config.at(fault::Site::KernelHang).probability = v;
-            else if (num(arg, "watchdog-ms", v))
-                f.watchdogTimeout = des::fromSeconds(v / 1e3);
-            else if (num(arg, "checkpoint-interval", v))
-                f.checkpointInterval = static_cast<uint64_t>(v);
-            else if (num(arg, "retry-budget", v))
-                f.retryBudget = static_cast<uint32_t>(v);
-            else if (num(arg, "backoff-us", v))
-                f.retryBackoff = des::fromSeconds(v / 1e6);
-            else if (num(arg, "deadline-ms", v))
-                f.deadline = des::fromSeconds(v / 1e3);
-            else if (num(arg, "shed-backlog", v))
-                f.shedBacklog = static_cast<uint32_t>(v);
-            else if (num(arg, "shed-p99-ms", v))
-                f.shedP99 = des::fromSeconds(v / 1e3);
-            else if (arg.starts_with("--") && flag(arg, "pcie-crc"))
-                f.pcieCrc = true;
-            else if (arg.starts_with("--") && flag(arg, "recovery"))
-                f.recovery = true;
-        }
-        return f;
-    }
-
-    /** True when no fault site fires (robustness knobs may still be
-     *  set). */
-    bool quiet() const { return config.allQuiet(); }
-
-    /** Overlays the robustness knobs onto a server config. */
-    void apply(core::RhythmConfig &cfg) const
-    {
-        if (retryBudget > 0)
-            cfg.backendRetryBudget = retryBudget;
-        if (retryBackoff != 50 * des::kMicrosecond)
-            cfg.retryBackoffBase = retryBackoff;
-        if (deadline > 0)
-            cfg.requestDeadline = deadline;
-        if (shedBacklog > 0)
-            cfg.shedBacklogLimit = shedBacklog;
-        if (shedP99 > 0)
-            cfg.shedLatencySlo = shedP99;
-        if (watchdogTimeout > 0)
-            cfg.watchdogTimeout = watchdogTimeout;
-    }
-
-    /** Overlays the link-model knob onto a device config. */
-    void apply(simt::DeviceConfig &cfg) const
-    {
-        if (pcieCrc)
-            cfg.pcieCrcEnabled = true;
-    }
-
-    /** Overlays everything onto an isolated-run options block (the
-     *  evaluateTitan/runIsolatedType path). */
-    void apply(platform::IsolatedRunOptions &opts) const
-    {
-        opts.faults = config;
-        opts.retryBudget = retryBudget;
-        opts.watchdogTimeout = watchdogTimeout;
-        opts.pcieFrameCrc = pcieCrc;
-        opts.recovery = recovery;
-        opts.checkpointInterval = checkpointInterval;
-    }
-
-    /**
-     * Arms a directly-driven server/device pair. @p plan is the
-     * caller's storage (declared next to the server so it outlives the
-     * run); it is engaged and installed only when the schedule is
-     * non-quiet.
-     */
-    void arm(core::RhythmServer &server, simt::Device &device,
-             des::EventQueue &queue,
-             std::optional<fault::FaultPlan> &plan) const
-    {
-        if (quiet())
-            return;
-        plan.emplace(config);
-        server.setFaultPlan(&*plan);
-        fault::installDeviceFaults(device, *plan, queue);
-    }
-
-    /**
-     * Records the fault-schedule metadata in the --json config section
-     * (only when any family flag was given, so default outputs stay
-     * byte-identical). check_bench.py requires these keys for
-     * fault-sweeping benches (ext_recovery).
-     */
-    void recordConfig(Reporter &rep) const
-    {
-        if (!anyGiven)
-            return;
-        rep.config("fault_seed", static_cast<double>(config.seed));
-        std::string schedule;
-        const auto add = [&](const char *name, fault::Site site) {
-            const auto &s = config.at(site);
-            if (s.probability <= 0.0)
-                return;
-            if (!schedule.empty())
-                schedule += ";";
-            schedule += std::string(name) + "=" +
-                        formatDouble(s.probability, 6);
-        };
-        add("backend-fail", fault::Site::BackendFail);
-        add("backend-slow", fault::Site::BackendSlow);
-        add("pcie-corrupt", fault::Site::PcieCorrupt);
-        add("pcie-degrade", fault::Site::PcieDegrade);
-        add("stall", fault::Site::StreamStall);
-        add("disconnect", fault::Site::ClientDisconnect);
-        add("crash", fault::Site::BackendCrash);
-        add("torn", fault::Site::JournalTorn);
-        add("hang", fault::Site::KernelHang);
-        rep.config("fault_schedule",
-                   schedule.empty() ? std::string("quiet") : schedule);
-        rep.config("recovery", recovery ? 1.0 : 0.0);
-        rep.config("watchdog_ms",
-                   des::toSeconds(watchdogTimeout) * 1e3);
-        rep.config("pcie_crc", pcieCrc ? 1.0 : 0.0);
-    }
+/** Each fault site's probability flag, in fault_schedule order. */
+inline constexpr std::pair<std::string_view, fault::Site> kFaultSites[] = {
+    {"backend-fail", fault::Site::BackendFail},
+    {"backend-slow", fault::Site::BackendSlow},
+    {"pcie-corrupt", fault::Site::PcieCorrupt},
+    {"pcie-degrade", fault::Site::PcieDegrade},
+    {"stall", fault::Site::StreamStall},
+    {"disconnect", fault::Site::ClientDisconnect},
+    {"crash", fault::Site::BackendCrash},
+    {"torn", fault::Site::JournalTorn},
+    {"hang", fault::Site::KernelHang},
 };
 
-/**
- * Shared transfer/compute-overlap flag vocabulary for the bench
- * binaries — the same names rhythm_sim accepts (DESIGN.md 6h). Every
- * knob defaults off, so a bench invoked without overlap flags produces
- * byte-identical output to one that never supported them.
- *
- *   --overlap=on|off    pipelined parser/dispatch + scissored transfers
- *                       (on also defaults copy engines/chunking below)
- *   --copy-engines=N    modeled DMA copy engines per direction
- *   --copy-chunk-kb=N   chunk granularity of overlapped transfers
- */
-struct OverlapFlags
+/** "site=p;..." over the armed fault sites ("quiet" when none is). */
+inline std::string
+faultSchedule(const fault::FaultConfig &c)
 {
-    /** Default engines / chunk size implied by --overlap=on alone. */
-    static constexpr int kDefaultEngines = 4;
-    static constexpr uint32_t kDefaultChunkBytes = 256 * 1024;
-
-    bool overlap = false;
-    int copyEngines = 0;        //!< 0 = mode default.
-    uint32_t copyChunkBytes = 0; //!< 0 = mode default.
-    bool anyGiven = false;       //!< Any flag of the family was present.
-
-    static OverlapFlags parse(int argc, char **argv)
-    {
-        OverlapFlags f;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--overlap=", 0) == 0) {
-                f.overlap = arg.substr(10) == "on";
-                f.anyGiven = true;
-            } else if (arg.rfind("--copy-engines=", 0) == 0) {
-                f.copyEngines =
-                    std::atoi(std::string(arg.substr(15)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--copy-chunk-kb=", 0) == 0) {
-                f.copyChunkBytes = static_cast<uint32_t>(
-                    std::atoi(std::string(arg.substr(16)).c_str()) *
-                    1024);
-                f.anyGiven = true;
-            }
-        }
-        return f;
+    std::string schedule;
+    for (const auto &[name, site] : kFaultSites) {
+        const double p = c.at(site).probability;
+        if (p <= 0.0)
+            continue;
+        if (!schedule.empty())
+            schedule += ";";
+        schedule += std::string(name) + "=" + formatDouble(p, 6);
     }
+    return schedule.empty() ? std::string("quiet") : schedule;
+}
 
-    /** Engines actually configured (--overlap=on implies a pool). */
-    int effectiveEngines() const
-    {
-        if (copyEngines > 0)
-            return copyEngines;
-        return overlap ? kDefaultEngines : 1;
-    }
+/** The fault schedule the flags describe. */
+inline fault::FaultConfig
+faultConfig(const Flags &f)
+{
+    using fault::Site;
+    fault::FaultConfig c;
+    c.seed = f.u64("fault-seed");
+    for (const auto &[name, site] : kFaultSites)
+        c.at(site).probability = f.real(name);
+    c.at(Site::BackendSlow).meanDelay = millis(f, "backend-slow-ms");
+    c.at(Site::PcieDegrade).factor = f.real("pcie-degrade-factor");
+    c.at(Site::StreamStall).meanDelay = millis(f, "stall-ms");
+    c.at(Site::KernelHang).meanDelay = millis(f, "hang-ms");
+    return c;
+}
 
-    /** Chunk bytes actually configured (--overlap=on implies chunking). */
-    uint32_t effectiveChunkBytes() const
-    {
-        if (copyChunkBytes > 0)
-            return copyChunkBytes;
-        return overlap ? kDefaultChunkBytes : 0;
-    }
-
-    /** Overlays the copy-engine knobs onto a device config. */
-    void apply(simt::DeviceConfig &cfg) const
-    {
-        if (!anyGiven)
-            return;
-        cfg.copyEngines = effectiveEngines();
-        cfg.copyChunkBytes = effectiveChunkBytes();
-    }
-
-    /** Overlays the pipeline knob onto a server config. */
-    void apply(core::RhythmConfig &cfg) const
-    {
-        if (overlap)
-            cfg.overlapPipeline = true;
-    }
-
-    /** Overlays everything onto an isolated-run options block. */
-    void apply(platform::IsolatedRunOptions &opts) const
-    {
-        if (!anyGiven)
-            return;
-        opts.overlapPipeline = overlap;
-        opts.copyEngines = effectiveEngines();
-        opts.copyChunkBytes = effectiveChunkBytes();
-    }
-
-    /**
-     * Records the overlap configuration in the --json config section
-     * (only when any family flag was given). check_bench.py requires
-     * these keys for the overlap acceptance bench (ext_overlap).
-     */
-    void recordConfig(Reporter &rep) const
-    {
-        if (!anyGiven)
-            return;
-        rep.config("overlap", overlap ? 1.0 : 0.0);
-        rep.config("copy_engines",
-                   static_cast<double>(effectiveEngines()));
-        rep.config("copy_chunk_kb", effectiveChunkBytes() / 1024.0);
-    }
+inline constexpr Flag kFaultFlagRows[] = {
+    Flag::u64("fault-seed", 0, kU64Max, "1", "fault plan seed")
+        .records("fault_seed"),
+    // fault_schedule summarises every probability row; it is keyed on
+    // the first of them.
+    Flag::real("backend-fail", 0, 1, "0",
+               "backend call failure probability")
+        .records("fault_schedule")
+        .derived([](const Flags &f) -> ConfigValue {
+            return faultSchedule(faultConfig(f));
+        }),
+    Flag::real("backend-slow", 0, 1, "0", "backend brownout probability"),
+    Flag::real("backend-slow-ms", 0, 1e6, "5", "mean brownout delay, ms"),
+    Flag::real("pcie-corrupt", 0, 1, "0",
+               "PCIe corrupt+replay probability"),
+    Flag::real("pcie-degrade", 0, 1, "0", "PCIe degradation probability"),
+    Flag::real("pcie-degrade-factor", 1, 1000, "2",
+               "PCIe degradation slowdown"),
+    Flag::real("stall", 0, 1, "0", "stream stall probability"),
+    Flag::real("stall-ms", 0, 1e6, "1", "mean stall duration, ms"),
+    Flag::real("disconnect", 0, 1, "0", "client disconnect probability"),
+    Flag::real("crash", 0, 1, "0",
+               "backend crash-restart probability (per mutation)"),
+    Flag::real("torn", 0, 1, "0",
+               "probability a crash tears the final journal record"),
+    Flag::real("hang", 0, 1, "0", "kernel hang probability (per cohort)"),
+    Flag::real("hang-ms", 0, 1e6, "0",
+               "injected hang stall, ms (0 = 8x --watchdog-ms, or 1 s "
+               "without a watchdog)"),
+    Flag::boolean("recovery", "off",
+                  "write-ahead-journaled, checkpointed backend (banking "
+                  "only)")
+        .records("recovery"),
+    Flag::real("watchdog-ms", 0, 1e6, "0",
+               "cohort watchdog timeout that hedges stragglers, ms (0 = "
+               "off)")
+        .records("watchdog_ms"),
+    Flag::boolean("pcie-crc", "off", "PCIe frame CRC + bounded retransmit")
+        .records("pcie_crc"),
+    Flag::u64("checkpoint-interval", 0, 1e9, "4096",
+              "journaled records between checkpoints (0 = none)"),
+    Flag::u64("retry-budget", 0, 1e6, "0", "backend retries per cohort"),
+    Flag::real("backoff-us", 0, 1e6, "50", "retry backoff base, us"),
+    Flag::real("deadline-ms", 0, 1e6, "0",
+               "per-request deadline, ms (0 = none)"),
+    Flag::u64("shed-backlog", 0, 4294967295.0, "0",
+              "shed (503) above this formation backlog (0 = off)"),
+    Flag::real("shed-p99-ms", 0, 1e6, "0",
+               "shed above this observed p99, ms (0 = off)"),
 };
+/** Fault injection and degradation; recorded whenever any is given
+ *  (check_bench.py requires these keys of ext_recovery). */
+inline constexpr FlagGroup kFaultFlags{
+    "fault injection, recovery and graceful degradation (all off by "
+    "default)",
+    kFaultFlagRows};
+
+/** Overlays the degradation knobs onto a server config (every table
+ *  default is RhythmConfig's: all off). */
+inline void
+applyFaults(const Flags &f, core::RhythmConfig &cfg)
+{
+    cfg.backendRetryBudget = static_cast<uint32_t>(f.u64("retry-budget"));
+    cfg.retryBackoffBase = des::fromSeconds(f.real("backoff-us") / 1e6);
+    cfg.requestDeadline = millis(f, "deadline-ms");
+    cfg.shedBacklogLimit = static_cast<uint32_t>(f.u64("shed-backlog"));
+    cfg.shedLatencySlo = millis(f, "shed-p99-ms");
+    cfg.watchdogTimeout = millis(f, "watchdog-ms");
+}
+
+/** Overlays the link-model knob onto a device config. */
+inline void
+applyFaults(const Flags &f, simt::DeviceConfig &cfg)
+{
+    if (f.on("pcie-crc"))
+        cfg.pcieCrcEnabled = true;
+}
+
+/** Overlays everything onto an isolated-run options block (the
+ *  evaluateTitan/runIsolatedType path). */
+inline void
+applyFaults(const Flags &f, platform::IsolatedRunOptions &opts)
+{
+    opts.faults = faultConfig(f);
+    opts.retryBudget = static_cast<uint32_t>(f.u64("retry-budget"));
+    opts.watchdogTimeout = millis(f, "watchdog-ms");
+    opts.pcieFrameCrc = f.on("pcie-crc");
+    opts.recovery = f.on("recovery");
+    opts.checkpointInterval = f.u64("checkpoint-interval");
+}
 
 /**
- * Shared deadline-aware adaptive-batching flag vocabulary — the same
- * names rhythm_sim accepts (DESIGN.md Section 6i). Every knob defaults
- * off, so a bench invoked without batching flags (or with the explicit
- * default `--batching=fixed` alone) produces byte-identical output to
- * one that never supported them.
- *
- *   --batching=fixed|adaptive  cohort formation policy (fixed)
- *   --deadline-default-ms=X    deadline for types without their own
- *   --deadline-ms-<type>=X     per-type deadline, keyed by the slugged
- *                              type name (e.g. --deadline-ms-transfer=3,
- *                              --deadline-ms-post_payee=3)
- *   --slack-safety=X           cost-estimate safety factor (1.2)
- *   --adaptive-scan-us=X       slack-scan period (200)
- *   --admission=on|off         deadline-aware admission control (on)
+ * Arms a directly-driven server/device pair. @p plan is the caller's
+ * storage (declared next to the server so it outlives the run); it is
+ * engaged and installed only when the schedule is non-quiet.
  */
-struct BatchingFlags
+inline void
+armFaults(const Flags &f, core::RhythmServer &server, simt::Device &device,
+          des::EventQueue &queue, std::optional<fault::FaultPlan> &plan)
 {
-    bool adaptive = false;
-    double defaultDeadlineMs = 0.0; //!< 0 = server default.
-    double slackSafety = 0.0;       //!< 0 = server default.
-    double scanUs = 0.0;            //!< 0 = server default.
-    int admission = -1;             //!< -1 = server default.
-    /** Per-type deadlines as (slugged type name, ms) pairs. */
-    std::vector<std::pair<std::string, double>> typeDeadlinesMs;
-    bool anyGiven = false; //!< Any flag of the family was present.
+    const fault::FaultConfig config = faultConfig(f);
+    if (config.allQuiet())
+        return;
+    plan.emplace(config);
+    server.setFaultPlan(&*plan);
+    fault::installDeviceFaults(device, *plan, queue);
+}
 
-    static BatchingFlags parse(int argc, char **argv)
-    {
-        BatchingFlags f;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--batching=", 0) == 0) {
-                const std::string_view mode = arg.substr(11);
-                if (mode != "fixed" && mode != "adaptive") {
-                    std::cerr << "error: --batching must be fixed or "
-                                 "adaptive, got: "
-                              << mode << "\n";
-                    std::exit(2);
-                }
-                f.adaptive = mode == "adaptive";
-                f.anyGiven = true;
-            } else if (arg.rfind("--deadline-default-ms=", 0) == 0) {
-                f.defaultDeadlineMs =
-                    std::atof(std::string(arg.substr(22)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--deadline-ms-", 0) == 0) {
-                const std::string_view rest = arg.substr(14);
-                const size_t eq = rest.find('=');
-                if (eq == std::string_view::npos || eq == 0)
-                    continue;
-                f.typeDeadlinesMs.emplace_back(
-                    std::string(rest.substr(0, eq)),
-                    std::atof(
-                        std::string(rest.substr(eq + 1)).c_str()));
-                f.anyGiven = true;
-            } else if (arg.rfind("--slack-safety=", 0) == 0) {
-                f.slackSafety =
-                    std::atof(std::string(arg.substr(15)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--adaptive-scan-us=", 0) == 0) {
-                f.scanUs =
-                    std::atof(std::string(arg.substr(19)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--admission=", 0) == 0) {
-                f.admission = arg.substr(12) == "on" ? 1 : 0;
-                f.anyGiven = true;
-            }
-        }
-        return f;
-    }
+/** Copy engines / chunk size implied by --overlap=on alone. */
+inline constexpr int kDefaultCopyEngines = 4;
+inline constexpr uint32_t kDefaultChunkBytes = 256 * 1024;
 
-    /**
-     * Overlays the batching policy onto a server config, resolving
-     * per-type deadline slugs against @p service's type names. Exits
-     * with an error on a slug no type matches (a silently ignored
-     * deadline would invalidate a whole sweep).
-     */
-    void apply(core::RhythmConfig &cfg,
-               const core::Service &service) const
-    {
-        if (!anyGiven)
-            return;
-        cfg.adaptiveBatching = adaptive;
-        if (defaultDeadlineMs > 0)
-            cfg.defaultDeadline = des::fromSeconds(defaultDeadlineMs / 1e3);
-        if (slackSafety > 0)
-            cfg.slackSafety = slackSafety;
-        if (scanUs > 0)
-            cfg.adaptiveScanInterval = des::fromSeconds(scanUs / 1e6);
-        if (admission >= 0)
-            cfg.adaptiveAdmission = admission != 0;
-        if (typeDeadlinesMs.empty())
-            return;
-        cfg.typeDeadlines.assign(service.numTypes(), 0);
-        for (const auto &[name, ms] : typeDeadlinesMs) {
-            bool found = false;
-            for (uint32_t t = 0; t < service.numTypes(); ++t) {
-                if (slug(service.typeName(t)) == name) {
-                    cfg.typeDeadlines[t] = des::fromSeconds(ms / 1e3);
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) {
-                std::cerr << "error: --deadline-ms-" << name
-                          << " matches no request type; known types:";
-                for (uint32_t t = 0; t < service.numTypes(); ++t)
-                    std::cerr << " " << slug(service.typeName(t));
-                std::cerr << "\n";
-                std::exit(2);
-            }
-        }
-    }
+/** Copy engines per direction the overlap flags configure. */
+inline int
+copyEngines(const Flags &f)
+{
+    if (f.given("copy-engines"))
+        return static_cast<int>(f.u64("copy-engines"));
+    return f.on("overlap") ? kDefaultCopyEngines : 1;
+}
 
-    /**
-     * Records the batching policy in the --json config section (only
-     * when any family flag was given). check_bench.py requires these
-     * keys for the adaptive acceptance bench (ext_adaptive_batching).
-     */
-    /** True when every knob still holds its default — an explicit
-     *  `--batching=fixed` alone must leave outputs (including the
-     *  --json document) byte-identical to a run without the flag. */
-    bool allDefault() const
-    {
-        return !adaptive && typeDeadlinesMs.empty() &&
-               defaultDeadlineMs <= 0 && slackSafety <= 0 &&
-               scanUs <= 0 && admission < 0;
-    }
+/** DMA chunk bytes the overlap flags configure (0 = whole transfer). */
+inline uint32_t
+copyChunkBytes(const Flags &f)
+{
+    if (const uint64_t kb = f.u64("copy-chunk-kb"))
+        return static_cast<uint32_t>(kb * 1024);
+    return f.on("overlap") ? kDefaultChunkBytes : 0;
+}
 
-    void recordConfig(Reporter &rep) const
-    {
-        if (!anyGiven || allDefault())
-            return;
-        rep.config("batching",
-                   std::string(adaptive ? "adaptive" : "fixed"));
-        if (defaultDeadlineMs > 0)
-            rep.config("deadline_default_ms", defaultDeadlineMs);
-        if (!typeDeadlinesMs.empty()) {
+inline constexpr Flag kOverlapFlagRows[] = {
+    Flag::boolean("overlap", "off",
+                  "pipeline the parse of cohort k+1 under the kernels of "
+                  "cohort k and ship only occupied slot bytes (responses "
+                  "are byte-identical on or off)")
+        .records("overlap"),
+    Flag::u64("copy-engines", 1, 64, {},
+              "modeled DMA copy engines per PCIe direction (default 1, "
+              "or 4 with --overlap=on)")
+        .records("copy_engines")
+        .derived([](const Flags &f) -> ConfigValue {
+            return static_cast<double>(copyEngines(f));
+        }),
+    Flag::u64("copy-chunk-kb", 0, 1 << 20, "0",
+              "DMA chunk size, KiB (0 = whole transfer, or 256 with "
+              "--overlap=on)")
+        .records("copy_chunk_kb")
+        .derived([](const Flags &f) -> ConfigValue {
+            return copyChunkBytes(f) / 1024.0;
+        }),
+};
+/** Transfer/compute overlap (DESIGN.md 6h); recorded whenever any is
+ *  given (check_bench.py requires these keys of ext_overlap). */
+inline constexpr FlagGroup kOverlapFlags{
+    "transfer/compute overlap (off by default)", kOverlapFlagRows};
+
+/** Overlays the copy-engine knobs onto a device config. */
+inline void
+applyOverlap(const Flags &f, simt::DeviceConfig &cfg)
+{
+    if (!f.anyGiven(kOverlapFlags))
+        return;
+    cfg.copyEngines = copyEngines(f);
+    cfg.copyChunkBytes = copyChunkBytes(f);
+}
+
+/** Overlays the pipeline knob onto a server config. */
+inline void
+applyOverlap(const Flags &f, core::RhythmConfig &cfg)
+{
+    if (f.on("overlap"))
+        cfg.overlapPipeline = true;
+}
+
+/** Overlays everything onto an isolated-run options block. */
+inline void
+applyOverlap(const Flags &f, platform::IsolatedRunOptions &opts)
+{
+    if (!f.anyGiven(kOverlapFlags))
+        return;
+    opts.overlapPipeline = f.on("overlap");
+    opts.copyEngines = copyEngines(f);
+    opts.copyChunkBytes = copyChunkBytes(f);
+}
+
+inline constexpr Flag kBatchingFlagRows[] = {
+    Flag::oneOf("batching", "fixed|adaptive", "fixed",
+                "cohort formation policy (adaptive dispatches a forming "
+                "cohort early when its oldest request's deadline slack "
+                "drops below the modeled pipeline cost)")
+        .records("batching"),
+    Flag::real("deadline-default-ms", 0.001, 1e6, "10",
+               "deadline for types without their own, ms")
+        .records("deadline_default_ms", Record::Given),
+    Flag::real("deadline-ms-", 0, 1e6, {},
+               "per-type deadline by slugged type name, ms (e.g. "
+               "--deadline-ms-transfer=3; 0 = the default deadline)")
+        .records("deadline_ms", Record::Given)
+        .derived([](const Flags &f) -> ConfigValue {
             std::string spec;
-            for (const auto &[name, ms] : typeDeadlinesMs) {
+            for (const auto &[name, ms] : f.each("deadline-ms-")) {
                 if (!spec.empty())
                     spec += ";";
                 spec += name + "=" + formatDouble(ms, 3);
             }
-            rep.config("deadline_ms", spec);
-        }
-        if (slackSafety > 0)
-            rep.config("slack_safety", slackSafety);
-        if (admission >= 0)
-            rep.config("admission", static_cast<double>(admission));
-    }
+            return spec;
+        }),
+    Flag::positive("slack-safety", 100, "1.2", "cost-estimate safety factor")
+        .records("slack_safety", Record::Given),
+    Flag::real("adaptive-scan-us", 1, 1e6, "200", "slack-scan period, us"),
+    Flag::boolean("admission", "on", "deadline-aware admission control")
+        .records("admission", Record::Given),
 };
 
-/**
- * Shared open-loop arrival flag vocabulary — the same names rhythm_sim
- * accepts (DESIGN.md Section 6i). Default is the historical closed
- * loop, so a bench invoked without arrival flags produces
- * byte-identical output to one that never supported them.
- *
- *   --arrival=closed|poisson|diurnal|flash  arrival process (closed)
- *   --arrival-rate=X        mean arrival rate, requests/s (200000)
- *   --arrival-seed=N        arrival-stream RNG seed (1)
- *   --flash-mult=X          flash-crowd rate multiplier (8)
- *   --flash-start-ms=X      flash onset (50)
- *   --flash-dur-ms=X        flash duration (50)
- *   --diurnal-period-ms=X   diurnal cycle period (200)
- *   --diurnal-trough=F      trough rate as a fraction of peak (0.25)
- */
-struct ArrivalFlags
+/** An explicit `--batching=fixed` alone must leave the --json document
+ *  byte-identical to a run without the flag. */
+inline bool
+batchingRecorded(const Flags &f)
 {
-    net::ArrivalConfig config;
-    bool anyGiven = false; //!< Any flag of the family was present.
+    if (f.text("batching") == "adaptive")
+        return true;
+    for (const Flag &row : kBatchingFlagRows)
+        if (row.name != "batching" && f.given(row.name))
+            return true;
+    return false;
+}
 
-    ArrivalFlags() { config.kind = net::ArrivalKind::Closed; }
-
-    static ArrivalFlags parse(int argc, char **argv)
-    {
-        ArrivalFlags f;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            double v = 0.0;
-            auto num = [&](std::string_view name) {
-                if (arg.rfind(name, 0) != 0)
-                    return false;
-                v = std::atof(
-                    std::string(arg.substr(name.size())).c_str());
-                f.anyGiven = true;
-                return true;
-            };
-            if (arg.rfind("--arrival=", 0) == 0) {
-                const auto kind =
-                    net::parseArrivalKind(arg.substr(10));
-                if (!kind) {
-                    std::cerr << "error: --arrival must be closed, "
-                                 "poisson, diurnal or flash, got: "
-                              << arg.substr(10) << "\n";
-                    std::exit(2);
-                }
-                f.config.kind = *kind;
-                f.anyGiven = true;
-            } else if (num("--arrival-rate="))
-                f.config.rate = v;
-            else if (num("--arrival-seed="))
-                f.config.seed = static_cast<uint64_t>(v);
-            else if (num("--flash-mult="))
-                f.config.flashMultiplier = v;
-            else if (num("--flash-start-ms="))
-                f.config.flashStartSec = v / 1e3;
-            else if (num("--flash-dur-ms="))
-                f.config.flashDurationSec = v / 1e3;
-            else if (num("--diurnal-period-ms="))
-                f.config.diurnalPeriodSec = v / 1e3;
-            else if (num("--diurnal-trough="))
-                f.config.diurnalTroughFraction = v;
-        }
-        return f;
-    }
-
-    /** True when requests arrive open-loop (a generator drives time). */
-    bool open() const
-    {
-        return config.kind != net::ArrivalKind::Closed;
-    }
-
-    /**
-     * Records the arrival process in the --json config section (only
-     * for open-loop runs — an explicit `--arrival=closed` alone must
-     * leave the document byte-identical to a run without the flag).
-     */
-    void recordConfig(Reporter &rep) const
-    {
-        if (!anyGiven || !open())
-            return;
-        rep.config("arrival",
-                   std::string(net::arrivalKindName(config.kind)));
-        rep.config("arrival_rate", config.rate);
-        rep.config("arrival_seed", static_cast<double>(config.seed));
-        if (config.kind == net::ArrivalKind::Flash) {
-            rep.config("flash_mult", config.flashMultiplier);
-            rep.config("flash_start_ms", config.flashStartSec * 1e3);
-            rep.config("flash_dur_ms", config.flashDurationSec * 1e3);
-        }
-        if (config.kind == net::ArrivalKind::Diurnal) {
-            rep.config("diurnal_period_ms",
-                       config.diurnalPeriodSec * 1e3);
-            rep.config("diurnal_trough",
-                       config.diurnalTroughFraction);
-        }
-    }
-};
+/** Deadline-aware adaptive batching (DESIGN.md 6i). */
+inline constexpr FlagGroup kBatchingFlags{
+    "deadline-aware adaptive batching (off by default)", kBatchingFlagRows,
+    batchingRecorded};
 
 /**
- * Shared cross-type cohort-fusion flag vocabulary — the same names
- * rhythm_sim accepts (DESIGN.md Section 6j). Fusion defaults off, so a
- * bench invoked without fusion flags (or with an explicit
- * `--fusion=off` alone) produces byte-identical output to one that
- * never supported them.
- *
- *   --fusion=on|off            pack similarity-compatible partial
- *                              cohorts into shared warps (off)
- *   --fusion-threshold=X       minimum online pair similarity to fuse
- *                              (0.5 — the Figure 2 indifference point)
- *   --fusion-max-cohorts=N     cohorts fusable into one launch (4)
- *   --fingerprint-alpha=X      similarity EWMA smoothing factor (0.25)
- *   --fingerprint-lanes=N      lanes sampled per fingerprint update (32)
+ * Overlays the batching policy onto a server config, resolving per-type
+ * deadline slugs against @p service's type names. Exits with an error
+ * on a slug no type matches (a silently ignored deadline would
+ * invalidate a whole sweep).
  */
-struct FusionFlags
+inline void
+applyBatching(const Flags &f, core::RhythmConfig &cfg,
+              const core::Service &service)
 {
-    bool fusion = false;
-    double threshold = 0.0;  //!< 0 = server default.
-    uint32_t maxCohorts = 0; //!< 0 = server default.
-    double alpha = 0.0;      //!< 0 = server default.
-    uint32_t lanes = 0;      //!< 0 = server default.
-    bool anyGiven = false;   //!< Any flag of the family was present.
-
-    static FusionFlags parse(int argc, char **argv)
-    {
-        FusionFlags f;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--fusion=", 0) == 0) {
-                const std::string_view mode = arg.substr(9);
-                if (mode != "on" && mode != "off") {
-                    std::cerr << "error: --fusion must be on or off, "
-                                 "got: "
-                              << mode << "\n";
-                    std::exit(2);
-                }
-                f.fusion = mode == "on";
-                f.anyGiven = true;
-            } else if (arg.rfind("--fusion-threshold=", 0) == 0) {
-                f.threshold =
-                    std::atof(std::string(arg.substr(19)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--fusion-max-cohorts=", 0) == 0) {
-                f.maxCohorts = static_cast<uint32_t>(
-                    std::atoi(std::string(arg.substr(21)).c_str()));
-                f.anyGiven = true;
-            } else if (arg.rfind("--fingerprint-alpha=", 0) == 0) {
-                f.alpha =
-                    std::atof(std::string(arg.substr(20)).c_str());
-                f.anyGiven = true;
-            } else if (arg.rfind("--fingerprint-lanes=", 0) == 0) {
-                f.lanes = static_cast<uint32_t>(
-                    std::atoi(std::string(arg.substr(20)).c_str()));
-                f.anyGiven = true;
+    if (!f.anyGiven(kBatchingFlags))
+        return;
+    cfg.adaptiveBatching = f.text("batching") == "adaptive";
+    cfg.defaultDeadline = millis(f, "deadline-default-ms");
+    cfg.slackSafety = f.real("slack-safety");
+    cfg.adaptiveScanInterval =
+        des::fromSeconds(f.real("adaptive-scan-us") / 1e6);
+    cfg.adaptiveAdmission = f.on("admission");
+    if (f.each("deadline-ms-").empty())
+        return;
+    cfg.typeDeadlines.assign(service.numTypes(), 0);
+    for (const auto &[name, ms] : f.each("deadline-ms-")) {
+        bool found = false;
+        for (uint32_t t = 0; t < service.numTypes() && !found; ++t) {
+            found = slug(service.typeName(t)) == name;
+            if (found)
+                cfg.typeDeadlines[t] = des::fromSeconds(ms / 1e3);
+        }
+        if (!found) {
+            std::string message = "--deadline-ms-" + name +
+                                  " matches no request type; known types:";
+            for (uint32_t t = 0; t < service.numTypes(); ++t) {
+                message += ' ';
+                message += slug(service.typeName(t));
             }
+            exitUsageError(message);
         }
-        return f;
     }
+}
 
-    /** Overlays the fusion policy onto a server config. */
-    void apply(core::RhythmConfig &cfg) const
-    {
-        if (!anyGiven)
-            return;
-        cfg.fusionEnabled = fusion;
-        if (threshold > 0)
-            cfg.fusionSimilarityThreshold = threshold;
-        if (maxCohorts > 0)
-            cfg.fusionMaxCohorts = maxCohorts;
-        if (alpha > 0)
-            cfg.fingerprint.alpha = alpha;
-        if (lanes > 0)
-            cfg.fingerprint.sampleLanes = lanes;
-    }
-
-    /**
-     * Records the fusion policy in the --json config section (only when
-     * fusion is actually on — an explicit `--fusion=off` alone must
-     * leave the document byte-identical to a run without the flag).
-     * check_bench.py requires these keys for the fusion acceptance
-     * bench (ext_warp_fusion).
-     */
-    void recordConfig(Reporter &rep) const
-    {
-        if (!anyGiven || !fusion)
-            return;
-        rep.config("fusion", 1.0);
-        rep.config("fusion_threshold", threshold > 0 ? threshold : 0.5);
-        rep.config("fusion_max_cohorts",
-                   static_cast<double>(maxCohorts > 0 ? maxCohorts : 4));
-        rep.config("fingerprint_alpha", alpha > 0 ? alpha : 0.25);
-    }
+inline constexpr Flag kArrivalFlagRows[] = {
+    Flag::oneOf("arrival", "closed|poisson|diurnal|flash", "closed",
+                "arrival process driving injection")
+        .records("arrival"),
+    Flag::real("arrival-rate", 1, 1e9, "200000",
+               "mean arrival rate, requests/s")
+        .records("arrival_rate"),
+    Flag::u64("arrival-seed", 0, kU64Max, "1", "arrival-stream seed")
+        .records("arrival_seed"),
+    Flag::real("flash-mult", 1, 1e6, "8", "flash-crowd rate multiplier")
+        .records("flash_mult", Record::When, "arrival=flash"),
+    Flag::real("flash-start-ms", 0, 1e6, "50", "flash onset, ms")
+        .records("flash_start_ms", Record::When, "arrival=flash"),
+    Flag::real("flash-dur-ms", 0, 1e6, "50", "flash duration, ms")
+        .records("flash_dur_ms", Record::When, "arrival=flash"),
+    Flag::real("diurnal-period-ms", 0.001, 1e6, "200",
+               "diurnal cycle period, ms")
+        .records("diurnal_period_ms", Record::When, "arrival=diurnal"),
+    Flag::positive("diurnal-trough", 1, "0.25",
+                   "trough rate as a fraction of the peak")
+        .records("diurnal_trough", Record::When, "arrival=diurnal"),
 };
+
+/** True when requests arrive open-loop (a generator drives time). */
+inline bool
+openLoop(const Flags &f)
+{
+    return f.text("arrival") != "closed";
+}
+
+/** Open-loop arrivals (DESIGN.md 6i); recorded for open-loop runs only,
+ *  so an explicit `--arrival=closed` leaves the document unchanged. */
+inline constexpr FlagGroup kArrivalFlags{
+    "open-loop arrivals (closed loop by default)", kArrivalFlagRows,
+    openLoop};
+
+/** The arrival process the flags describe. */
+inline net::ArrivalConfig
+arrivalConfig(const Flags &f)
+{
+    net::ArrivalConfig c;
+    c.kind = *net::parseArrivalKind(f.text("arrival"));
+    c.rate = f.real("arrival-rate");
+    c.seed = f.u64("arrival-seed");
+    c.flashMultiplier = f.real("flash-mult");
+    c.flashStartSec = f.real("flash-start-ms") / 1e3;
+    c.flashDurationSec = f.real("flash-dur-ms") / 1e3;
+    c.diurnalPeriodSec = f.real("diurnal-period-ms") / 1e3;
+    c.diurnalTroughFraction = f.real("diurnal-trough");
+    return c;
+}
+
+inline constexpr Flag kFusionFlagRows[] = {
+    Flag::boolean("fusion", "off",
+                  "pack similarity-compatible partial cohorts into shared "
+                  "warps instead of padding each (responses are "
+                  "byte-identical on or off)")
+        .records("fusion"),
+    Flag::positive("fusion-threshold", 1, "0.5",
+                   "minimum online pair similarity to fuse (0.5 is Figure "
+                   "2's indifference point)")
+        .records("fusion_threshold"),
+    Flag::u64("fusion-max-cohorts", 1, 1024, "4",
+              "cohorts fusable into one launch")
+        .records("fusion_max_cohorts"),
+    Flag::positive("fingerprint-alpha", 1, "0.25",
+                   "similarity EWMA smoothing factor")
+        .records("fingerprint_alpha"),
+    Flag::u64("fingerprint-lanes", 2, 65536, "32",
+              "lanes sampled per fingerprint update"),
+};
+
+/** Cross-type cohort fusion (DESIGN.md 6j); recorded only with fusion
+ *  on, so an explicit `--fusion=off` leaves the document unchanged. */
+inline constexpr FlagGroup kFusionFlags{
+    "cross-type cohort fusion (off by default)", kFusionFlagRows,
+    [](const Flags &f) { return f.on("fusion"); }};
+
+/** Overlays the fusion knobs onto a server config. */
+inline void
+applyFusionKnobs(const Flags &f, core::RhythmConfig &cfg)
+{
+    cfg.fusionSimilarityThreshold = f.real("fusion-threshold");
+    cfg.fusionMaxCohorts = static_cast<uint32_t>(f.u64("fusion-max-cohorts"));
+    cfg.fingerprint.alpha = f.real("fingerprint-alpha");
+    cfg.fingerprint.sampleLanes =
+        static_cast<uint32_t>(f.u64("fingerprint-lanes"));
+}
+
+/** Overlays the fusion policy onto a server config. */
+inline void
+applyFusion(const Flags &f, core::RhythmConfig &cfg)
+{
+    if (!f.anyGiven(kFusionFlags))
+        return;
+    cfg.fusionEnabled = f.on("fusion");
+    applyFusionKnobs(f, cfg);
+}
+
+inline constexpr Flag kShardingFlagRows[] = {
+    Flag::u64("devices", 1, 64, "1",
+              "serve from an N-device fleet: per-device event streams, "
+              "PCIe links, copy engines and backends behind a front-end "
+              "balancer")
+        .records("devices"),
+    Flag::oneOf("balance", "hash|least", "hash",
+                "session-hash or least-outstanding routing")
+        .records("balance"),
+    Flag::u64("shard-seed", 0, kU64Max, "5938129649563161416",
+              "user-to-shard map seed")
+        .records("shard_seed"),
+    Flag::real("cross-shard", 0, 1, "0",
+               "fraction of arrivals that also start a two-phase "
+               "cross-shard transfer")
+        .records("cross_shard", Record::Nonzero),
+};
+
+/** True for a multi-device run (--devices=1 is the single-device path). */
+inline bool
+fleetRun(const Flags &f)
+{
+    return f.u64("devices") > 1;
+}
+
+/** Multi-device sharding (DESIGN.md 6k); recorded for fleet runs only,
+ *  so `--devices=1` leaves the document unchanged. */
+inline constexpr FlagGroup kShardingFlags{
+    "multi-device sharding (banking with open-loop arrivals)",
+    kShardingFlagRows, fleetRun};
+
+/** Builds the fleet config (per-shard config stays RhythmConfig). */
+inline core::FleetConfig
+fleetConfig(const Flags &f)
+{
+    core::FleetConfig fc;
+    fc.devices = static_cast<uint32_t>(f.u64("devices"));
+    fc.balance = f.text("balance") == "least"
+                     ? core::BalanceMode::LeastOutstanding
+                     : core::BalanceMode::SessionHash;
+    fc.shardMapSeed = f.u64("shard-seed");
+    return fc;
+}
 
 /**
- * The multi-device sharding flag family (DESIGN.md 6k), shared by
- * rhythm_sim and the ext_sharding bench:
- *
- *   --devices=N        fleet size (1 = the classic single-device path)
- *   --balance=hash|least
- *                      front-end policy: stable session hash (default)
- *                      or least-outstanding-requests
- *   --shard-seed=N     seed of the user → shard map
- *   --cross-shard=F    fraction of arrivals that additionally start a
- *                      two-phase cross-shard transfer (0 = off)
+ * Parses a bench's command line against the run flags plus @p groups:
+ * prints `error:` and exits 2 on a bad argument, prints the help and
+ * exits 0 on --help. Applies --sim-threads before any simulation object
+ * exists.
  */
-struct ShardingFlags
+inline Flags
+parseArgs(int argc, char **argv,
+          std::initializer_list<const FlagGroup *> groups)
 {
-    uint32_t devices = 1;
-    std::string balance = "hash";
-    uint64_t shardSeed = core::FleetConfig{}.shardMapSeed;
-    double crossShard = 0.0;
-    bool anyGiven = false; //!< Any flag of the family was present.
-
-    static ShardingFlags parse(int argc, char **argv)
-    {
-        ShardingFlags s;
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--devices=", 0) == 0) {
-                s.devices = static_cast<uint32_t>(
-                    std::atoi(std::string(arg.substr(10)).c_str()));
-                if (s.devices < 1) {
-                    std::cerr << "error: --devices must be >= 1\n";
-                    std::exit(2);
-                }
-                s.anyGiven = true;
-            } else if (arg.rfind("--balance=", 0) == 0) {
-                s.balance = std::string(arg.substr(10));
-                if (s.balance != "hash" && s.balance != "least") {
-                    std::cerr << "error: --balance must be hash or "
-                                 "least, got: "
-                              << s.balance << "\n";
-                    std::exit(2);
-                }
-                s.anyGiven = true;
-            } else if (arg.rfind("--shard-seed=", 0) == 0) {
-                s.shardSeed = static_cast<uint64_t>(
-                    std::atoll(std::string(arg.substr(13)).c_str()));
-                s.anyGiven = true;
-            } else if (arg.rfind("--cross-shard=", 0) == 0) {
-                s.crossShard =
-                    std::atof(std::string(arg.substr(14)).c_str());
-                if (s.crossShard < 0.0 || s.crossShard > 1.0) {
-                    std::cerr
-                        << "error: --cross-shard must be in [0, 1]\n";
-                    std::exit(2);
-                }
-                s.anyGiven = true;
-            }
-        }
-        return s;
-    }
-
-    bool fleet() const { return devices > 1; }
-
-    /** Builds the fleet config (per-shard config stays RhythmConfig). */
-    core::FleetConfig toFleetConfig() const
-    {
-        core::FleetConfig fc;
-        fc.devices = devices;
-        fc.balance = balance == "least"
-                         ? core::BalanceMode::LeastOutstanding
-                         : core::BalanceMode::SessionHash;
-        fc.shardMapSeed = shardSeed;
-        return fc;
-    }
-
-    /**
-     * Records the sharding setup in the --json config section (only
-     * for actual fleet runs — a `--devices=1` run must leave the
-     * document byte-identical to a run without the flag).
-     * check_bench.py requires these keys for the sharding acceptance
-     * bench (ext_sharding).
-     */
-    void recordConfig(Reporter &rep) const
-    {
-        if (!fleet())
-            return;
-        rep.config("devices", static_cast<double>(devices));
-        rep.config("balance", balance);
-        rep.config("shard_seed", static_cast<double>(shardSeed));
-        if (crossShard > 0)
-            rep.config("cross_shard", crossShard);
-    }
-};
+    std::vector<const FlagGroup *> all{&kRunFlags};
+    all.insert(all.end(), groups);
+    Flags flags = parseFlagsOrExit(argc, argv, all);
+    util::setSimThreads(static_cast<unsigned>(flags.u64("sim-threads")));
+    return flags;
+}
 
 } // namespace rhythm::bench
 

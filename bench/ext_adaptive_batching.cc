@@ -72,12 +72,11 @@ struct RunResult
 
 RunResult
 runPoint(const net::ArrivalConfig &acfg, bool adaptive,
-         uint64_t requests, const bench::FaultFlags &faults,
-         const bench::BatchingFlags &batching)
+         uint64_t requests, const Flags &flags)
 {
     des::EventQueue queue;
     simt::DeviceConfig dcfg;
-    faults.apply(dcfg);
+    bench::applyFaults(flags, dcfg);
     simt::Device device(queue, dcfg);
     backend::BankDb db(2000, 5);
     core::BankingService service(db);
@@ -89,7 +88,7 @@ runPoint(const net::ArrivalConfig &acfg, bool adaptive,
     cfg.backendOnDevice = true; // Titan B
     cfg.networkOverPcie = false;
     cfg.laneSample = 64;
-    faults.apply(cfg);
+    bench::applyFaults(flags, cfg);
     // Identical deadlines in both modes (fixed tracks attainment
     // without scheduling changes); only the policy bit differs.
     cfg.typeDeadlines.assign(service.numTypes(), 0);
@@ -100,17 +99,14 @@ runPoint(const net::ArrivalConfig &acfg, bool adaptive,
     cfg.adaptiveBatching = adaptive;
     if (adaptive) {
         // Command-line overrides tune the adaptive arm only.
-        if (batching.slackSafety > 0)
-            cfg.slackSafety = batching.slackSafety;
-        if (batching.scanUs > 0)
-            cfg.adaptiveScanInterval =
-                des::fromSeconds(batching.scanUs / 1e6);
-        if (batching.admission >= 0)
-            cfg.adaptiveAdmission = batching.admission != 0;
+        cfg.slackSafety = flags.real("slack-safety");
+        cfg.adaptiveScanInterval =
+            des::fromSeconds(flags.real("adaptive-scan-us") / 1e6);
+        cfg.adaptiveAdmission = flags.on("admission");
     }
     core::RhythmServer server(queue, device, service, cfg);
     std::optional<fault::FaultPlan> plan;
-    faults.arm(server, device, queue, plan);
+    bench::armFaults(flags, server, device, queue, plan);
 
     specweb::WorkloadGenerator gen(db, 31);
     auto sessions = server.sessions().populate(8192, 2000);
@@ -177,41 +173,36 @@ runPoint(const net::ArrivalConfig &acfg, bool adaptive,
     return r;
 }
 
+constexpr Flag kQuickFlagRows[] = {
+    Flag::toggle("quick", "fewer requests per operating point (the CI mode)"),
+};
+constexpr FlagGroup kQuickFlags{"run length", kQuickFlagRows};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_adaptive_batching", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv,
+        {&kQuickFlags, &bench::kFaultFlags, &bench::kBatchingFlags,
+         &bench::kArrivalFlags});
+    bench::Reporter report("ext_adaptive_batching", flags.text("json"));
     bench::banner(
         "Extension: deadline-aware adaptive cohort formation",
         "DESIGN.md 6i (>=1.3x attainment or >=1.2x goodput at flash)");
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == "--quick")
-            quick = true;
+    const bool quick = flags.on("quick");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.recordConfig(report);
-    const bench::BatchingFlags batching =
-        bench::BatchingFlags::parse(argc, argv);
-    const bench::ArrivalFlags arrival =
-        bench::ArrivalFlags::parse(argc, argv);
+    report.config(flags, bench::kFaultFlags);
 
     // Operating points. The base rate/seed may be overridden by the
-    // shared arrival flags; the flash burst rides on the low rate.
-    const double base_rate =
-        arrival.anyGiven && arrival.config.rate > 0 &&
-                arrival.config.rate != 200e3
-            ? arrival.config.rate
-            : 60e3;
-    const uint64_t seed = arrival.config.seed;
-    const double flash_mult =
-        arrival.config.flashMultiplier > 0 &&
-                arrival.config.flashMultiplier != 8.0
-            ? arrival.config.flashMultiplier
-            : 8.0;
+    // shared arrival flags (the table's default rate selects this
+    // bench's own); the flash burst rides on the low rate.
+    const double arrival_rate = flags.real("arrival-rate");
+    const double base_rate = arrival_rate != 200e3 ? arrival_rate : 60e3;
+    const uint64_t seed = flags.u64("arrival-seed");
+    const double flash_mult = flags.real("flash-mult");
     const uint64_t n_low = quick ? 8000 : 30000;
     const uint64_t n_high = quick ? 12000 : 40000;
     const uint64_t n_flash = quick ? 12000 : 40000;
@@ -264,9 +255,9 @@ main(int argc, char **argv)
     double flash_goodput_ratio = 0.0;
     for (const Point &p : points) {
         const RunResult fixed =
-            runPoint(*p.cfg, false, p.requests, faults, batching);
+            runPoint(*p.cfg, false, p.requests, flags);
         const RunResult adaptive =
-            runPoint(*p.cfg, true, p.requests, faults, batching);
+            runPoint(*p.cfg, true, p.requests, flags);
         const double att_ratio =
             fixed.attainment > 0 ? adaptive.attainment / fixed.attainment
                                  : 0.0;

@@ -28,13 +28,12 @@ struct RunResult
 
 RunResult
 runIsolated(chat::RoomStore &store, chat::PageType type, uint32_t cohorts,
-            const bench::FaultFlags &faults,
-            const bench::OverlapFlags &overlap)
+            const Flags &flags)
 {
     des::EventQueue queue;
     simt::DeviceConfig dcfg;
-    faults.apply(dcfg);
-    overlap.apply(dcfg);
+    bench::applyFaults(flags, dcfg);
+    bench::applyOverlap(flags, dcfg);
     simt::Device device(queue, dcfg);
     chat::ChatService service(store);
 
@@ -45,11 +44,11 @@ runIsolated(chat::RoomStore &store, chat::PageType type, uint32_t cohorts,
     cfg.backendOnDevice = true; // Titan B
     cfg.networkOverPcie = false;
     cfg.laneSample = 128;
-    faults.apply(cfg);
-    overlap.apply(cfg);
+    bench::applyFaults(flags, cfg);
+    bench::applyOverlap(flags, cfg);
     core::RhythmServer server(queue, device, service, cfg);
     std::optional<fault::FaultPlan> plan;
-    faults.arm(server, device, queue, plan);
+    bench::armFaults(flags, server, device, queue, plan);
 
     chat::ChatGenerator gen(store, 29);
     const uint64_t total = static_cast<uint64_t>(cohorts) * cfg.cohortSize;
@@ -81,15 +80,14 @@ runIsolated(chat::RoomStore &store, chat::PageType type, uint32_t cohorts,
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_chat_workload", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("ext_chat_workload", flags.text("json"));
     bench::banner("Extension: the Chat workload on Rhythm (Titan B)",
                   "Section 8 future work (Search/Email/Chat on Rhythm)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.recordConfig(report);
+    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kOverlapFlags);
 
     chat::RoomStore store(256, 40, 7);
 
@@ -99,7 +97,7 @@ main(int argc, char **argv)
     for (uint32_t t = 0; t < chat::kNumPageTypes; ++t) {
         const chat::PageTypeInfo &info = chat::pageTable()[t];
         RunResult r = runIsolated(
-            store, static_cast<chat::PageType>(t), 8, faults, overlap);
+            store, static_cast<chat::PageType>(t), 8, flags);
         whm.add(info.mixPercent, r.throughput);
         const std::string key = bench::slug(info.name);
         report.metric(key + ".throughput", r.throughput);

@@ -25,7 +25,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("ext_future_accelerator", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("ext_future_accelerator", flags.text("json"));
     bench::banner("Extension: future server accelerators",
                   "Section 8 (specialized data-parallel server designs)");
 
@@ -50,13 +52,10 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.apply(opts);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
-    overlap.recordConfig(report);
+    bench::applyFaults(flags, opts);
+    report.config(flags, bench::kFaultFlags);
+    bench::applyOverlap(flags, opts);
+    report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"design", "MReqs/s", "latency ms", "dynamic W",
                        "reqs/J wall", "vs Titan C"});

@@ -27,7 +27,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("ext_overlap", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("ext_overlap", flags.text("json"));
     bench::banner("Extension: PCIe transfer/compute overlap acceptance",
                   "DESIGN.md 6h (>=1.2x on PCIe-bound types, responses "
                   "identical)");
@@ -47,23 +49,21 @@ main(int argc, char **argv)
     base.cohorts = 10;
     base.users = 2000;
     base.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.apply(base);
-    faults.recordConfig(report);
+    bench::applyFaults(flags, base);
+    report.config(flags, bench::kFaultFlags);
 
     // --copy-engines / --copy-chunk-kb tune the overlapped
     // configuration; the off run always uses the legacy single-engine
     // whole-buffer path.
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
     platform::IsolatedRunOptions on = base;
     on.overlapPipeline = true;
-    on.copyEngines = overlap.copyEngines > 0
-                         ? overlap.copyEngines
-                         : bench::OverlapFlags::kDefaultEngines;
-    on.copyChunkBytes = overlap.copyChunkBytes > 0
-                            ? overlap.copyChunkBytes
-                            : bench::OverlapFlags::kDefaultChunkBytes;
+    on.copyEngines = flags.given("copy-engines")
+                         ? static_cast<int>(flags.u64("copy-engines"))
+                         : bench::kDefaultCopyEngines;
+    on.copyChunkBytes =
+        flags.u64("copy-chunk-kb") > 0
+            ? static_cast<uint32_t>(flags.u64("copy-chunk-kb") * 1024)
+            : bench::kDefaultChunkBytes;
 
     // check_bench.py requires these keys for this bench: the overlap
     // configuration under test must be reproducible from the document.

@@ -18,7 +18,6 @@
  * vs everything off), which tools/check_bench.py gates.
  */
 
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -241,25 +240,23 @@ scheduleConfig(const Schedule &s, uint64_t seed)
     return fcfg;
 }
 
+constexpr Flag kQuickFlagRows[] = {
+    Flag::toggle("quick", "the mixed schedule at one seed (the CI mode)"),
+};
+constexpr FlagGroup kQuickFlags{"run length", kQuickFlagRows};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_recovery", argc, argv);
+    const Flags flags = bench::parseArgs(argc, argv, {&kQuickFlags});
+    bench::Reporter report("ext_recovery", flags.text("json"));
     // --quick: the mixed schedule at one seed (CI's per-push mode);
     // the full sweep × 3 seeds stays the local/nightly default.
     // --sim-threads=N exercises the equivalence claim under the
     // parallel execution engine.
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        if (arg == "--quick")
-            quick = true;
-        else if (arg.rfind("--sim-threads=", 0) == 0)
-            util::setSimThreads(static_cast<unsigned>(
-                std::atoi(arg.data() + std::strlen("--sim-threads="))));
-    }
+    const bool quick = flags.on("quick");
 
     bench::banner("Extension: recovery equivalence under chaos",
                   "robustness extension (not a paper figure)");
@@ -277,13 +274,12 @@ main(int argc, char **argv)
     // Fault-schedule metadata for the --json schema (check_bench
     // requires these keys for ext_recovery): the acceptance schedule
     // expressed in the shared --fault-* vocabulary.
-    bench::FaultFlags meta;
-    meta.config = scheduleConfig(mixed, 1);
-    meta.watchdogTimeout = 250 * des::kMillisecond;
-    meta.pcieCrc = true;
-    meta.recovery = true;
-    meta.anyGiven = true;
-    meta.recordConfig(report);
+    report.config("fault_seed", 1.0);
+    report.config("fault_schedule",
+                  bench::faultSchedule(scheduleConfig(mixed, 1)));
+    report.config("recovery", 1.0);
+    report.config("watchdog_ms", 250.0);
+    report.config("pcie_crc", 1.0);
     report.config("quick", quick ? 1.0 : 0.0);
     report.config("cohorts", cohorts);
 

@@ -30,13 +30,12 @@ struct RunResult
 
 RunResult
 runIsolated(search::InvertedIndex &index, search::PageType type,
-            uint32_t cohorts, const bench::FaultFlags &faults,
-            const bench::OverlapFlags &overlap)
+            uint32_t cohorts, const Flags &flags)
 {
     des::EventQueue queue;
     simt::DeviceConfig dcfg;
-    faults.apply(dcfg);
-    overlap.apply(dcfg);
+    bench::applyFaults(flags, dcfg);
+    bench::applyOverlap(flags, dcfg);
     simt::Device device(queue, dcfg);
     search::SearchService service(index);
 
@@ -47,11 +46,11 @@ runIsolated(search::InvertedIndex &index, search::PageType type,
     cfg.backendOnDevice = true; // Titan B
     cfg.networkOverPcie = false;
     cfg.laneSample = 128;
-    faults.apply(cfg);
-    overlap.apply(cfg);
+    bench::applyFaults(flags, cfg);
+    bench::applyOverlap(flags, cfg);
     core::RhythmServer server(queue, device, service, cfg);
     std::optional<fault::FaultPlan> plan;
-    faults.arm(server, device, queue, plan);
+    bench::armFaults(flags, server, device, queue, plan);
 
     search::QueryGenerator gen(index.corpus(), 11);
     const uint64_t total = static_cast<uint64_t>(cohorts) * cfg.cohortSize;
@@ -82,15 +81,14 @@ runIsolated(search::InvertedIndex &index, search::PageType type,
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_search_workload", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("ext_search_workload", flags.text("json"));
     bench::banner("Extension: the Search workload on Rhythm (Titan B)",
                   "Section 8 future work (Search/Email/Chat on Rhythm)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.recordConfig(report);
+    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kOverlapFlags);
 
     std::cout << "Building corpus and inverted index...\n";
     search::Corpus corpus(4000, 4096, 7);
@@ -102,7 +100,7 @@ main(int argc, char **argv)
     for (uint32_t t = 0; t < search::kNumPageTypes; ++t) {
         const search::PageTypeInfo &info = search::pageTable()[t];
         RunResult r = runIsolated(
-            index, static_cast<search::PageType>(t), 8, faults, overlap);
+            index, static_cast<search::PageType>(t), 8, flags);
         whm.add(info.mixPercent, r.throughput);
         const std::string key = bench::slug(info.name);
         report.metric(key + ".throughput", r.throughput);

@@ -155,48 +155,48 @@ runPoint(uint32_t devices, const net::ArrivalConfig &acfg,
     return r;
 }
 
+constexpr Flag kQuickFlagRows[] = {
+    Flag::toggle("quick", "a shorter measurement window (the CI mode)"),
+};
+constexpr FlagGroup kQuickFlags{"run length", kQuickFlagRows};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_sharding", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv,
+        {&kQuickFlags, &bench::kArrivalFlags, &bench::kShardingFlags});
+    bench::Reporter report("ext_sharding", flags.text("json"));
     bench::banner("Extension: multi-device sharded serving",
                   "DESIGN.md 6k (>=1.8x goodput at 2 devices, >=3.2x "
                   "at 4)");
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == "--quick")
-            quick = true;
-
-    const bench::ArrivalFlags arrival =
-        bench::ArrivalFlags::parse(argc, argv);
-    const bench::ShardingFlags sharding =
-        bench::ShardingFlags::parse(argc, argv);
+    const bool quick = flags.on("quick");
 
     // Offered rate: one saturated Titan B delivers ~1.2M responses/s
     // on this mix, so 16M/s keeps even the 4-device arm well past
-    // saturation (and fills its per-shard backlogs quickly).
-    const double rate = arrival.anyGiven && arrival.config.rate > 0 &&
-                                arrival.config.rate != 200e3
-                            ? arrival.config.rate
-                            : 16e6;
+    // saturation (and fills its per-shard backlogs quickly). The
+    // table's default --arrival-rate selects this bench's own.
+    const double arrival_rate = flags.real("arrival-rate");
+    const double rate = arrival_rate != 200e3 ? arrival_rate : 16e6;
+    const uint64_t shard_seed = flags.u64("shard-seed");
     const double window_sec = quick ? 6e-3 : 14e-3;
 
     net::ArrivalConfig acfg;
     acfg.kind = net::ArrivalKind::Poisson;
     acfg.rate = rate;
-    acfg.seed = arrival.config.seed;
+    acfg.seed = flags.u64("arrival-seed");
 
     // check_bench.py requires these keys: the sweep under test must be
     // reproducible from the document alone.
     report.config("devices", 4.0);
     report.config("balance", std::string("hash"));
-    report.config("shard_seed", static_cast<double>(sharding.shardSeed));
+    report.config("shard_seed", static_cast<double>(shard_seed));
     report.config("arrival_rate", rate);
     report.config("arrival_seed",
-                  static_cast<double>(arrival.config.seed));
+                  static_cast<double>(acfg.seed));
     report.config("window_ms", window_sec * 1e3);
     report.config("cohort_size", static_cast<double>(kCohortSize));
     report.config("cross_every", static_cast<double>(kCrossEvery));
@@ -208,7 +208,7 @@ main(int argc, char **argv)
     const uint32_t arms[3] = {1, 2, 4};
     for (int i = 0; i < 3; ++i) {
         const RunResult r =
-            runPoint(arms[i], acfg, window_sec, sharding.shardSeed);
+            runPoint(arms[i], acfg, window_sec, shard_seed);
         goodput[i] = r.goodput;
         const double speedup =
             goodput[0] > 0 ? r.goodput / goodput[0] : 0.0;

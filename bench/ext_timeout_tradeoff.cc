@@ -37,13 +37,12 @@ struct RunResult
 
 RunResult
 runAtRate(double arrival_rate, des::Time timeout, uint64_t requests,
-          const bench::FaultFlags &faults,
-          const bench::OverlapFlags &overlap)
+          const Flags &flags)
 {
     des::EventQueue queue;
     simt::DeviceConfig dcfg;
-    faults.apply(dcfg);
-    overlap.apply(dcfg);
+    bench::applyFaults(flags, dcfg);
+    bench::applyOverlap(flags, dcfg);
     simt::Device device(queue, dcfg);
     backend::BankDb db(2000, 5);
     core::BankingService service(db);
@@ -55,11 +54,11 @@ runAtRate(double arrival_rate, des::Time timeout, uint64_t requests,
     cfg.backendOnDevice = true; // Titan B
     cfg.networkOverPcie = false;
     cfg.laneSample = 64;
-    faults.apply(cfg);
-    overlap.apply(cfg);
+    bench::applyFaults(flags, cfg);
+    bench::applyOverlap(flags, cfg);
     core::RhythmServer server(queue, device, service, cfg);
     std::optional<fault::FaultPlan> plan;
-    faults.arm(server, device, queue, plan);
+    bench::armFaults(flags, server, device, queue, plan);
 
     specweb::WorkloadGenerator gen(db, 31);
     auto sessions = server.sessions().populate(8192, 2000);
@@ -112,15 +111,14 @@ runAtRate(double arrival_rate, des::Time timeout, uint64_t requests,
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_timeout_tradeoff", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("ext_timeout_tradeoff", flags.text("json"));
     bench::banner("Extension: cohort timeout vs latency/efficiency",
                   "Sections 1/3.1 (delay requests to form cohorts)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.recordConfig(report);
+    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kOverlapFlags);
 
     for (const auto &[label, prefix, rate, requests] :
          {std::tuple<const char *, const char *, double, uint64_t>{
@@ -132,7 +130,7 @@ main(int argc, char **argv)
         for (double timeout_ms : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
             RunResult r =
                 runAtRate(rate, des::fromSeconds(timeout_ms / 1e3),
-                          requests, faults, overlap);
+                          requests, flags);
             table.addRow({bench::fmt(timeout_ms, 2),
                           bench::fmt(r.throughput / 1e3, 0),
                           bench::fmt(r.meanLatencyMs, 2),

@@ -71,12 +71,11 @@ struct RunResult
 
 RunResult
 runPoint(const net::ArrivalConfig &acfg, bool fusion, uint64_t requests,
-         const bench::FaultFlags &faults,
-         const bench::FusionFlags &fusion_flags)
+         const Flags &flags)
 {
     des::EventQueue queue;
     simt::DeviceConfig dcfg;
-    faults.apply(dcfg);
+    bench::applyFaults(flags, dcfg);
     simt::Device device(queue, dcfg);
     backend::BankDb db(2000, 5);
     core::BankingService service(db);
@@ -88,7 +87,7 @@ runPoint(const net::ArrivalConfig &acfg, bool fusion, uint64_t requests,
     cfg.backendOnDevice = true; // Titan B
     cfg.networkOverPcie = false;
     cfg.laneSample = kLaneSample;
-    faults.apply(cfg);
+    bench::applyFaults(flags, cfg);
     // Identical deadlines and formation policy in both arms; only the
     // fusion bit (and its knobs) differs.
     cfg.typeDeadlines.assign(service.numTypes(), 0);
@@ -98,19 +97,11 @@ runPoint(const net::ArrivalConfig &acfg, bool fusion, uint64_t requests,
     cfg.defaultDeadline = des::fromSeconds(kDefaultDeadlineMs / 1e3);
     cfg.adaptiveBatching = true;
     cfg.fusionEnabled = fusion;
-    if (fusion) {
-        if (fusion_flags.threshold > 0)
-            cfg.fusionSimilarityThreshold = fusion_flags.threshold;
-        if (fusion_flags.maxCohorts > 0)
-            cfg.fusionMaxCohorts = fusion_flags.maxCohorts;
-        if (fusion_flags.alpha > 0)
-            cfg.fingerprint.alpha = fusion_flags.alpha;
-        if (fusion_flags.lanes > 0)
-            cfg.fingerprint.sampleLanes = fusion_flags.lanes;
-    }
+    if (fusion)
+        bench::applyFusionKnobs(flags, cfg);
     core::RhythmServer server(queue, device, service, cfg);
     std::optional<fault::FaultPlan> plan;
-    faults.arm(server, device, queue, plan);
+    bench::armFaults(flags, server, device, queue, plan);
 
     specweb::WorkloadGenerator gen(db, 31);
     auto sessions = server.sessions().populate(8192, 2000);
@@ -163,41 +154,37 @@ runPoint(const net::ArrivalConfig &acfg, bool fusion, uint64_t requests,
     return r;
 }
 
+constexpr Flag kQuickFlagRows[] = {
+    Flag::toggle("quick", "fewer requests per operating point (the CI mode)"),
+};
+constexpr FlagGroup kQuickFlags{"run length", kQuickFlagRows};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bench::Reporter report("ext_warp_fusion", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv,
+        {&kQuickFlags, &bench::kFaultFlags, &bench::kArrivalFlags,
+         &bench::kFusionFlags});
+    bench::Reporter report("ext_warp_fusion", flags.text("json"));
     bench::banner(
         "Extension: sub-warp packing / cross-type cohort fusion",
         "DESIGN.md 6j (>=1.15x SIMD efficiency or >=1.10x goodput at "
         "flash)");
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == "--quick")
-            quick = true;
+    const bool quick = flags.on("quick");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.recordConfig(report);
-    const bench::ArrivalFlags arrival =
-        bench::ArrivalFlags::parse(argc, argv);
-    const bench::FusionFlags fusion = bench::FusionFlags::parse(argc, argv);
+    report.config(flags, bench::kFaultFlags);
 
     // Operating points: the §6i flash shape at a rate where cohorts of
     // most types are partial when the 1 ms formation timeout fires.
-    const double base_rate =
-        arrival.anyGiven && arrival.config.rate > 0 &&
-                arrival.config.rate != 200e3
-            ? arrival.config.rate
-            : 150e3;
-    const uint64_t seed = arrival.config.seed;
-    const double flash_mult =
-        arrival.config.flashMultiplier > 0 &&
-                arrival.config.flashMultiplier != 8.0
-            ? arrival.config.flashMultiplier
-            : 8.0;
+    // The table's default --arrival-rate selects this bench's own.
+    const double arrival_rate = flags.real("arrival-rate");
+    const double base_rate = arrival_rate != 200e3 ? arrival_rate : 150e3;
+    const uint64_t seed = flags.u64("arrival-seed");
+    const double flash_mult = flags.real("flash-mult");
     const uint64_t n_low = quick ? 3000 : 10000;
     const uint64_t n_flash = quick ? 5000 : 20000;
 
@@ -218,9 +205,7 @@ main(int argc, char **argv)
     report.config("flash_mult", flash_mult);
     report.config("cohort_size", static_cast<double>(kCohortSize));
     report.config("timeout_ms", kFormationTimeoutMs);
-    report.config("fusion_threshold", fusion.threshold > 0
-                                          ? fusion.threshold
-                                          : 0.5);
+    report.config("fusion_threshold", flags.real("fusion-threshold"));
     report.config("quick", quick ? 1.0 : 0.0);
 
     struct Point
@@ -242,9 +227,9 @@ main(int argc, char **argv)
     double flash_goodput_ratio = 0.0;
     for (const Point &p : points) {
         const RunResult off =
-            runPoint(*p.cfg, false, p.requests, faults, fusion);
+            runPoint(*p.cfg, false, p.requests, flags);
         const RunResult on =
-            runPoint(*p.cfg, true, p.requests, faults, fusion);
+            runPoint(*p.cfg, true, p.requests, flags);
         const double simd_ratio =
             off.simdEfficiency > 0 ? on.simdEfficiency / off.simdEfficiency
                                    : 0.0;

@@ -19,7 +19,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("fig10_titanb_requests", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("fig10_titanb_requests", flags.text("json"));
     bench::banner("Figure 10: Titan B per-request throughput-efficiency",
                   "Figure 10 (tight-fit buffers perform best)");
 
@@ -38,13 +40,10 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.apply(opts);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
-    overlap.recordConfig(report);
+    bench::applyFaults(flags, opts);
+    report.config(flags, bench::kFaultFlags);
+    bench::applyOverlap(flags, opts);
+    report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"request type", "resp KB / buffer KB",
                        "fit %", "norm throughput (vs i7-8w)",

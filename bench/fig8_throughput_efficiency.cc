@@ -30,7 +30,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("fig8_throughput_efficiency", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("fig8_throughput_efficiency", flags.text("json"));
     bench::banner("Figure 8: throughput-efficiency (8a wall, 8b dynamic)",
                   "Figure 8 (normalized to i7-8w throughput, A9-2w "
                   "efficiency)");
@@ -51,13 +53,10 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.apply(opts);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
-    overlap.recordConfig(report);
+    bench::applyFaults(flags, opts);
+    report.config(flags, bench::kFaultFlags);
+    bench::applyOverlap(flags, opts);
+    report.config(flags, bench::kOverlapFlags);
     std::vector<platform::TitanWorkloadResult> titan_results;
     for (const auto &variant :
          {platform::titanA(), platform::titanB(), platform::titanC()}) {

@@ -16,7 +16,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("fig9_pcie_bound", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("fig9_pcie_bound", flags.text("json"));
     bench::banner("Figure 9: Titan A achieved vs PCIe 3.0 bound",
                   "Figure 9 (achieved within 83-95% of bound per type)");
 
@@ -25,13 +27,10 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.apply(opts);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
-    overlap.recordConfig(report);
+    bench::applyFaults(flags, opts);
+    report.config(flags, bench::kFaultFlags);
+    bench::applyOverlap(flags, opts);
+    report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"request type", "achieved KReqs/s",
                        "PCIe bound KReqs/s", "achieved/bound %",

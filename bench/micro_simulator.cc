@@ -144,32 +144,33 @@ BENCHMARK(BM_HostServeRecorded);
 
 } // namespace
 
-// Like BENCHMARK_MAIN(), but translates the repo-wide `--json=<path>`
-// convention into google-benchmark's native JSON reporter flags so every
-// bench binary shares one machine-readable interface.
+// Like BENCHMARK_MAIN(), but takes the repo-wide run flags first:
+// --sim-threads sets the engine's worker count and --json=<path> turns
+// into google-benchmark's native JSON reporter flags, so every bench
+// binary shares one machine-readable interface. Everything else goes to
+// google-benchmark, which rejects what it does not know.
 int
 main(int argc, char **argv)
 {
-    // Honor the repo-wide --sim-threads flag (every other bench gets
-    // it via the Reporter constructor), then strip it so
-    // google-benchmark does not reject an unknown argument.
-    rhythm::bench::applySimThreads(argc, argv);
-    std::vector<std::string> args;
-    args.reserve(static_cast<size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        if (std::string_view(argv[i]).rfind("--sim-threads=", 0) == 0)
+    using namespace rhythm;
+    std::vector<char *> ours{argv[0]};
+    std::vector<std::string> args{argv[0]};
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (!arg.starts_with("--sim-threads") && !arg.starts_with("--json")) {
+            args.emplace_back(arg);
             continue;
-        args.emplace_back(argv[i]);
-    }
-    bool json = false;
-    for (auto &arg : args) {
-        if (arg.rfind("--json=", 0) == 0) {
-            arg = "--benchmark_out=" + arg.substr(7);
-            json = true;
         }
+        ours.push_back(argv[i]);
+        if (arg.find('=') == std::string_view::npos && i + 1 < argc)
+            ours.push_back(argv[++i]);
     }
-    if (json)
+    const Flags flags =
+        bench::parseArgs(static_cast<int>(ours.size()), ours.data(), {});
+    if (flags.given("json")) {
+        args.push_back("--benchmark_out=" + flags.text("json"));
         args.push_back("--benchmark_out_format=json");
+    }
     std::vector<char *> cargs;
     for (auto &arg : args)
         cargs.push_back(arg.data());

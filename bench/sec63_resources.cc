@@ -21,7 +21,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("sec63_resources", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("sec63_resources", flags.text("json"));
     bench::banner("Section 6.3: system resource requirements",
                   "Section 6.3 (network bandwidth, memory capacity)");
 
@@ -48,13 +50,10 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.apply(opts);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
-    overlap.recordConfig(report);
+    bench::applyFaults(flags, opts);
+    report.config(flags, bench::kFaultFlags);
+    bench::applyOverlap(flags, opts);
+    report.config(flags, bench::kOverlapFlags);
 
     TableWriter net({"platform", "KReqs/s", "network Gbps (paper)",
                      "with 80% HTML compression Gbps"});

@@ -16,15 +16,14 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("sec64_cohort_size", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("sec64_cohort_size", flags.text("json"));
     bench::banner("Section 6.4: cohort size sensitivity",
                   "Section 6.4 (4096 balances throughput vs memory)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.recordConfig(report);
+    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"cohort size", "KReqs/s", "avg latency ms",
                        "device util", "pool memory MiB"});
@@ -36,8 +35,8 @@ main(int argc, char **argv)
         opts.cohorts = std::max<uint32_t>(6, 32768 / size);
         opts.users = 2000;
         opts.laneSample = std::min<uint32_t>(size, 128);
-        faults.apply(opts);
-        overlap.apply(opts);
+        bench::applyFaults(flags, opts);
+        bench::applyOverlap(flags, opts);
 
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::AccountSummary, opts);

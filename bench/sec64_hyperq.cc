@@ -17,15 +17,14 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("sec64_hyperq", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("sec64_hyperq", flags.text("json"));
     bench::banner("Section 6.4: HyperQ ablation",
                   "Section 6.4 (single work queue vs 32 HyperQ queues)");
 
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.recordConfig(report);
+    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"hardware queues", "KReqs/s", "avg latency ms",
                        "device util"});
@@ -37,8 +36,8 @@ main(int argc, char **argv)
         opts.cohorts = 24;
         opts.users = 2000;
         opts.laneSample = 128;
-        faults.apply(opts);
-        overlap.apply(opts);
+        bench::applyFaults(flags, opts);
+        bench::applyOverlap(flags, opts);
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::CheckDetailHtml, opts);
         table.addRow({std::to_string(queues),

@@ -15,7 +15,8 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("table2_workload", argc, argv);
+    const Flags flags = bench::parseArgs(argc, argv, {});
+    bench::Reporter report("table2_workload", flags.text("json"));
     bench::banner("Table 2: SPECWeb Banking workload characterization",
                   "Table 2 (instructions, response sizes, mix, backend)");
 

@@ -19,7 +19,9 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    bench::Reporter report("table3_platforms", argc, argv);
+    const Flags flags = bench::parseArgs(
+        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    bench::Reporter report("table3_platforms", flags.text("json"));
     bench::banner("Table 1: experimental platforms",
                   "Table 1 (platform parameters used by the models)");
     {
@@ -82,13 +84,10 @@ main(int argc, char **argv)
     opts.cohorts = 12;
     opts.users = 2000;
     opts.laneSample = 128;
-    const bench::FaultFlags faults = bench::FaultFlags::parse(argc, argv);
-    faults.apply(opts);
-    faults.recordConfig(report);
-    const bench::OverlapFlags overlap =
-        bench::OverlapFlags::parse(argc, argv);
-    overlap.apply(opts);
-    overlap.recordConfig(report);
+    bench::applyFaults(flags, opts);
+    report.config(flags, bench::kFaultFlags);
+    bench::applyOverlap(flags, opts);
+    report.config(flags, bench::kOverlapFlags);
     const platform::TitanVariant variants[] = {
         platform::titanA(), platform::titanB(), platform::titanC()};
     for (size_t v = 0; v < 3; ++v) {

@@ -297,19 +297,14 @@ TEST(ReporterTest, SlugNormalizesDisplayNames)
 TEST(ReporterTest, DisabledWithoutFlagAndWritesSchema)
 {
     {
-        char prog[] = "bench";
-        char *argv[] = {prog};
-        bench::Reporter off("demo", 1, argv);
+        bench::Reporter off("demo", "");
         EXPECT_FALSE(off.enabled());
         EXPECT_TRUE(off.write()); // no-op success
     }
 
     const std::string path =
         testing::TempDir() + "/obs_test_reporter.json";
-    std::string flag = "--json=" + path;
-    char prog[] = "bench";
-    std::vector<char *> argv = {prog, flag.data()};
-    bench::Reporter rep("demo", 2, argv.data());
+    bench::Reporter rep("demo", path);
     EXPECT_TRUE(rep.enabled());
     rep.config("cohorts", 8.0);
     rep.config("workload", std::string("banking"));

@@ -11,6 +11,8 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "backend/bankdb.hh"
 #include "chat/service.hh"
@@ -110,15 +112,29 @@ struct ChatHarness : Harness
 
 using HarnessFactory = std::function<std::unique_ptr<Harness>()>;
 
-class ServiceContract
-    : public ::testing::TestWithParam<std::pair<const char *,
-                                                HarnessFactory>>
+/** One row of the contract suite: a service name and its harness. */
+struct ServiceCase
+{
+    const char *name;
+    HarnessFactory make;
+};
+
+// gtest prints the parameter into each test's listed name; print the
+// service name so the names stay the same from build to build (the
+// default printer would show the address of `name`).
+void
+PrintTo(const ServiceCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class ServiceContract : public ::testing::TestWithParam<ServiceCase>
 {
 };
 
 TEST_P(ServiceContract, MetadataIsConsistent)
 {
-    auto harness = GetParam().second();
+    auto harness = GetParam().make();
     core::Service &svc = harness->service();
     ASSERT_GT(svc.numTypes(), 0u);
     for (uint32_t t = 0; t < svc.numTypes(); ++t) {
@@ -135,7 +151,7 @@ TEST_P(ServiceContract, MetadataIsConsistent)
 
 TEST_P(ServiceContract, ServesMixedTrafficWithoutDrops)
 {
-    auto harness = GetParam().second();
+    auto harness = GetParam().make();
 
     des::EventQueue queue;
     simt::Device device(queue, simt::DeviceConfig{});
@@ -173,7 +189,7 @@ TEST_P(ServiceContract, ServesMixedTrafficWithoutDrops)
 
 TEST_P(ServiceContract, ResolveRejectsForeignPaths)
 {
-    auto harness = GetParam().second();
+    auto harness = GetParam().make();
     core::Service &svc = harness->service();
     http::Request req;
     req.path = "/definitely/not/a/route.xyz";
@@ -183,7 +199,7 @@ TEST_P(ServiceContract, ResolveRejectsForeignPaths)
 
 TEST_P(ServiceContract, BackendRejectsGarbage)
 {
-    auto harness = GetParam().second();
+    auto harness = GetParam().make();
     core::Service &svc = harness->service();
     const std::string resp = svc.executeBackend("totally|bogus", gNull);
     EXPECT_NE(resp.find("ERR"), std::string::npos) << harness->name();
@@ -192,22 +208,23 @@ TEST_P(ServiceContract, BackendRejectsGarbage)
 INSTANTIATE_TEST_SUITE_P(
     AllServices, ServiceContract,
     ::testing::Values(
-        std::make_pair("banking",
-                       HarnessFactory([] {
-                           return std::unique_ptr<Harness>(
-                               new BankingHarness());
-                       })),
-        std::make_pair("search",
-                       HarnessFactory([] {
-                           return std::unique_ptr<Harness>(
-                               new SearchHarness());
-                       })),
-        std::make_pair("chat", HarnessFactory([] {
-                           return std::unique_ptr<Harness>(
-                               new ChatHarness());
-                       }))),
-    [](const ::testing::TestParamInfo<ServiceContract::ParamType> &info) {
-        return std::string(info.param.first);
+        ServiceCase{"banking",
+                    [] {
+                        return std::unique_ptr<Harness>(
+                            new BankingHarness());
+                    }},
+        ServiceCase{"search",
+                    [] {
+                        return std::unique_ptr<Harness>(
+                            new SearchHarness());
+                    }},
+        ServiceCase{"chat",
+                    [] {
+                        return std::unique_ptr<Harness>(
+                            new ChatHarness());
+                    }}),
+    [](const ::testing::TestParamInfo<ServiceCase> &info) {
+        return std::string(info.param.name);
     });
 
 } // namespace

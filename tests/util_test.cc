@@ -242,52 +242,166 @@ TEST(Table, CsvQuotesSpecials)
     EXPECT_EQ(os.str(), "a,b\n\"x,y\",\"q\"\"z\"\n");
 }
 
-TEST(Flags, ParsesAllForms)
+// A small option table covering every flag type.
+constexpr Flag kTestFlagRows[] = {
+    Flag::u64("a", 0, 100, "7", "an integer"),
+    Flag::path("b", "a word"),
+    Flag::toggle("switch", "a switch"),
+    Flag::boolean("neg", "on", "a boolean"),
+    Flag::real("d", 0, 10, "2.5", "a real"),
+    Flag::oneOf("mode", "fast|slow", "fast", "a choice")
+        .records("mode", Record::Given),
+    Flag::positive("rate", 1e6, "5", "a positive real")
+        .records("rate", Record::When, "mode=slow"),
+    Flag::real("frac", 0, 1, "0", "a fraction")
+        .records("frac", Record::Nonzero),
+    Flag::real("per-", 0, 100, {}, "a prefix family"),
+};
+constexpr FlagGroup kTestFlags{"test", kTestFlagRows, recordAlways};
+
+/** Parses @p args (after a program name) against kTestFlags. */
+bool
+parseTest(Flags &flags, std::vector<const char *> args)
 {
-    const char *argv[] = {"prog",        "--a=1",     "--b", "two",
-                          "--switch",    "--no-neg",  "pos1",
-                          "--d=3.5",     "pos2"};
-    Flags flags;
-    ASSERT_TRUE(flags.parse(9, argv));
-    EXPECT_EQ(flags.getU64("a", 0), 1u);
-    EXPECT_EQ(flags.getString("b"), "two");
-    EXPECT_TRUE(flags.getBool("switch", false));
-    EXPECT_FALSE(flags.getBool("neg", true));
-    EXPECT_DOUBLE_EQ(flags.getDouble("d", 0.0), 3.5);
-    ASSERT_EQ(flags.positional().size(), 2u);
-    EXPECT_EQ(flags.positional()[0], "pos1");
-    EXPECT_EQ(flags.positional()[1], "pos2");
+    args.insert(args.begin(), "prog");
+    const FlagGroup *groups[] = {&kTestFlags};
+    return flags.parse(static_cast<int>(args.size()), args.data(), groups);
 }
 
-TEST(Flags, FallbacksAndMalformedValues)
+TEST(Flags, ParsesAllForms)
 {
-    const char *argv[] = {"prog", "--n=abc", "--f=xyz", "--b=maybe"};
     Flags flags;
-    ASSERT_TRUE(flags.parse(4, argv));
-    EXPECT_EQ(flags.getU64("n", 7), 7u);
-    EXPECT_DOUBLE_EQ(flags.getDouble("f", 2.5), 2.5);
-    EXPECT_TRUE(flags.getBool("b", true));
-    EXPECT_EQ(flags.getU64("missing", 9), 9u);
-    EXPECT_FALSE(flags.has("missing"));
-    EXPECT_TRUE(flags.has("n"));
+    ASSERT_TRUE(parseTest(flags, {"--a=1", "--b", "two", "--switch",
+                                  "--no-neg", "--d=3.5", "--per-x=4"}))
+        << flags.error();
+    EXPECT_EQ(flags.u64("a"), 1u);
+    EXPECT_EQ(flags.text("b"), "two");
+    EXPECT_TRUE(flags.on("switch"));
+    EXPECT_FALSE(flags.on("neg"));
+    EXPECT_DOUBLE_EQ(flags.real("d"), 3.5);
+    ASSERT_EQ(flags.each("per-").size(), 1u);
+    EXPECT_EQ(flags.each("per-")[0].first, "x");
+    EXPECT_DOUBLE_EQ(flags.each("per-")[0].second, 4.0);
+    // Absent flags read their defaults.
+    EXPECT_FALSE(flags.given("mode"));
+    EXPECT_EQ(flags.text("mode"), "fast");
+
+    // Positional arguments are not part of any table.
+    Flags stray;
+    EXPECT_FALSE(parseTest(stray, {"--a=1", "pos1"}));
+    EXPECT_NE(stray.error().find("pos1"), std::string::npos);
+}
+
+TEST(Flags, MalformedValuesAreRejectedByName)
+{
+    // Each of these once fell back to the default silently.
+    for (const char *arg : {"--a=abc", "--d=xyz", "--neg=maybe",
+                            "--a=-5", "--a=3x", "--a=1e3", "--d=nan",
+                            "--d=inf", "--d=1e400", "--d=", "--b=",
+                            "--mode=medium", "--switch=1", "--a"}) {
+        Flags flags;
+        EXPECT_FALSE(parseTest(flags, {arg})) << arg;
+        const std::string name =
+            std::string(arg).substr(0, std::string(arg).find('='));
+        EXPECT_NE(flags.error().find(name), std::string::npos)
+            << arg << ": " << flags.error();
+    }
+    Flags flags;
+    ASSERT_TRUE(parseTest(flags, {}));
+    EXPECT_EQ(flags.u64("a"), 7u);
+    EXPECT_DOUBLE_EQ(flags.real("d"), 2.5);
+    EXPECT_TRUE(flags.on("neg"));
+    EXPECT_FALSE(flags.given("a"));
+}
+
+TEST(Flags, RangesAreInclusiveUnlessOpen)
+{
+    for (const char *ok : {"--a=0", "--a=100", "--d=0", "--d=10",
+                           "--rate=1e-9", "--frac=1"}) {
+        Flags flags;
+        EXPECT_TRUE(parseTest(flags, {ok})) << ok << ": " << flags.error();
+    }
+    for (const char *bad : {"--a=101", "--d=-0.5", "--d=10.001",
+                            "--rate=0", "--frac=1.5", "--per-x=-1"}) {
+        Flags flags;
+        EXPECT_FALSE(parseTest(flags, {bad})) << bad;
+        EXPECT_NE(flags.error().find("out of range"), std::string::npos)
+            << flags.error();
+    }
 }
 
 TEST(Flags, AllowOnlyDetectsUnknown)
 {
+    static constexpr Flag good_rows[] = {Flag::u64("good", 0, 9, "0", "")};
+    static constexpr Flag both_rows[] = {Flag::u64("good", 0, 9, "0", ""),
+                                  Flag::u64("bad", 0, 9, "0", "")};
+    static constexpr FlagGroup good{"good", good_rows};
+    static constexpr FlagGroup both{"both", both_rows};
     const char *argv[] = {"prog", "--good=1", "--bad=2"};
+    const FlagGroup *only_good[] = {&good};
+    const FlagGroup *good_and_bad[] = {&both};
     Flags flags;
-    ASSERT_TRUE(flags.parse(3, argv));
-    EXPECT_FALSE(flags.allowOnly({"good"}));
-    EXPECT_NE(flags.error().find("bad"), std::string::npos);
-    EXPECT_TRUE(flags.allowOnly({"good", "bad"}));
+    EXPECT_FALSE(flags.parse(3, argv, only_good));
+    EXPECT_NE(flags.error().find("unknown flag: --bad"), std::string::npos);
+    EXPECT_TRUE(flags.parse(3, argv, good_and_bad));
+    // --no- is only a form of a boolean.
+    const char *neg[] = {"prog", "--no-good"};
+    EXPECT_FALSE(flags.parse(2, neg, good_and_bad));
+}
+
+TEST(Flags, RepeatedFlagIsError)
+{
+    for (std::vector<const char *> args :
+         {std::vector<const char *>{"--a=1", "--a=2"},
+          {"--neg", "--no-neg"},
+          {"--per-x=1", "--per-x=2"}}) {
+        Flags flags;
+        EXPECT_FALSE(parseTest(flags, args)) << args[0];
+        EXPECT_NE(flags.error().find("repeated"), std::string::npos);
+    }
+    Flags flags;
+    EXPECT_TRUE(parseTest(flags, {"--per-x=1", "--per-y=2"}));
 }
 
 TEST(Flags, BareDoubleDashIsError)
 {
-    const char *argv[] = {"prog", "--"};
     Flags flags;
-    EXPECT_FALSE(flags.parse(2, argv));
+    EXPECT_FALSE(parseTest(flags, {"--"}));
     EXPECT_FALSE(flags.error().empty());
+}
+
+TEST(Flags, ConfigRecordsRowsByCondition)
+{
+    const auto keys = [](const Flags &flags) {
+        std::string out;
+        for (const auto &[key, value] : flags.config(kTestFlags))
+            out += std::string(key) + ";";
+        return out;
+    };
+    Flags quiet;
+    ASSERT_TRUE(parseTest(quiet, {"--frac=0"}));
+    EXPECT_EQ(keys(quiet), "");
+    Flags loud;
+    ASSERT_TRUE(parseTest(loud, {"--mode=slow", "--frac=0.5"}));
+    EXPECT_EQ(keys(loud), "mode;rate;frac;");
+    const auto entries = loud.config(kTestFlags);
+    EXPECT_EQ(std::get<std::string>(entries[0].second), "slow");
+    EXPECT_DOUBLE_EQ(std::get<double>(entries[1].second), 5.0);
+}
+
+TEST(Flags, HelpListsEveryRowWithRangeAndDefault)
+{
+    Flags flags;
+    ASSERT_TRUE(parseTest(flags, {"--help"}));
+    EXPECT_TRUE(flags.helpRequested());
+    std::ostringstream out;
+    flags.printHelp(out, "prog");
+    const std::string help = out.str();
+    for (const char *needle :
+         {"--a=N", "in [0, 100] (default 7)", "--b=PATH", "--switch",
+          "--[no-]neg", "--mode=fast|slow", "--rate=X", "in (0, 1000000]",
+          "--per-<type>=X", "--help"})
+        EXPECT_NE(help.find(needle), std::string::npos) << needle;
 }
 
 TEST(Arena, BumpAllocatesDisjointAlignedRanges)
