@@ -11,13 +11,13 @@
  * Usage: banking_server [clients] [pages-per-client] [cohort-size]
  */
 
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <map>
 
 #include "backend/bankdb.hh"
 #include "des/event_queue.hh"
+#include "example_args.hh"
 #include "rhythm/banking_service.hh"
 #include "rhythm/server.hh"
 #include "simt/device.hh"
@@ -45,10 +45,18 @@ struct Client
 int
 main(int argc, char **argv)
 {
-    const int num_clients = argc > 1 ? std::atoi(argv[1]) : 64;
-    const int pages_each = argc > 2 ? std::atoi(argv[2]) : 6;
-    const uint32_t cohort_size =
-        argc > 3 ? static_cast<uint32_t>(std::atoi(argv[3])) : 64;
+    // Request tags pack the client into the high 32 bits and a request
+    // ordinal into the low 32, so clients x (pages + 2) stays below 2^32.
+    constexpr std::string_view kUsage =
+        "banking_server [clients] [pages-per-client] [cohort-size]";
+    examples::expectAtMost(argc, 3, kUsage);
+    const int num_clients = static_cast<int>(examples::positionalArg(
+        argc, argv, 1, {"clients", 1, 100000, 64}, kUsage));
+    const int pages_each = static_cast<int>(examples::positionalArg(
+        argc, argv, 2, {"pages-per-client", 1, 10000, 6}, kUsage));
+    const uint32_t cohort_size = static_cast<uint32_t>(
+        examples::positionalArg(argc, argv, 3,
+                                {"cohort-size", 1, 65536, 64}, kUsage));
 
     des::EventQueue queue;
     simt::Device device(queue, simt::DeviceConfig{});

@@ -11,9 +11,9 @@
  * Usage: platform_explorer [request-type-index]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "example_args.hh"
 #include "platform/titan.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
@@ -37,8 +37,13 @@ run(platform::TitanVariant variant, specweb::RequestType type)
 int
 main(int argc, char **argv)
 {
-    const size_t type_index =
-        argc > 1 ? static_cast<size_t>(std::atoi(argv[1])) % 14 : 1;
+    constexpr std::string_view kUsage =
+        "platform_explorer [request-type-index]";
+    examples::expectAtMost(argc, 1, kUsage);
+    const size_t type_index = static_cast<size_t>(examples::positionalArg(
+        argc, argv, 1,
+        {"request-type-index", 0, specweb::kNumRequestTypes - 1, 1},
+        kUsage));
     const specweb::RequestType type =
         specweb::typeTable()[type_index].type;
     std::cout << "Exploring platform designs for request type '"

@@ -11,10 +11,10 @@
  */
 
 #include <array>
-#include <cstdlib>
 #include <iostream>
 
 #include "des/event_queue.hh"
+#include "example_args.hh"
 #include "rhythm/server.hh"
 #include "search/service.hh"
 #include "util/strings.hh"
@@ -24,11 +24,15 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    const uint32_t docs =
-        argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 2000;
-    const int queries = argc > 2 ? std::atoi(argv[2]) : 512;
-    const uint32_t cohort =
-        argc > 3 ? static_cast<uint32_t>(std::atoi(argv[3])) : 64;
+    constexpr std::string_view kUsage =
+        "search_server [documents] [queries] [cohort-size]";
+    examples::expectAtMost(argc, 3, kUsage);
+    const uint32_t docs = static_cast<uint32_t>(examples::positionalArg(
+        argc, argv, 1, {"documents", 1, 1000000, 2000}, kUsage));
+    const int queries = static_cast<int>(examples::positionalArg(
+        argc, argv, 2, {"queries", 1, 10000000, 512}, kUsage));
+    const uint32_t cohort = static_cast<uint32_t>(examples::positionalArg(
+        argc, argv, 3, {"cohort-size", 1, 65536, 64}, kUsage));
 
     std::cout << "Indexing " << docs << " documents... ";
     search::Corpus corpus(docs, 4096, 7);

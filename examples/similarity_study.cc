@@ -10,10 +10,10 @@
  * Usage: similarity_study [traces-per-type]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/similarity.hh"
+#include "example_args.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
 
@@ -21,7 +21,11 @@ int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    const int traces = argc > 1 ? std::atoi(argv[1]) : 5;
+    constexpr std::string_view kUsage =
+        "similarity_study [traces-per-type]";
+    examples::expectAtMost(argc, 1, kUsage);
+    const int traces = static_cast<int>(examples::positionalArg(
+        argc, argv, 1, {"traces-per-type", 1, 1000, 5}, kUsage));
 
     std::cout << "Merging " << traces
               << " independent same-type request traces per Banking "

@@ -1045,8 +1045,8 @@ RhythmServer::completeRequest(uint64_t client_id,
         responseCb_(client_id, response, latency);
 }
 
-void
-RhythmServer::launchCohort(CohortContext &ctx)
+std::shared_ptr<RhythmServer::CohortRun>
+RhythmServer::beginRun(CohortContext &ctx)
 {
     if (config_.adaptiveBatching) {
         if (lastLaunch_ != 0)
@@ -1071,9 +1071,17 @@ RhythmServer::launchCohort(CohortContext &ctx)
             {"type", std::string(service_.typeName(ctx.type()))});
         OBS_COUNTER_ADD("server.cohorts_launched", 1);
     }
-    executeCohort(ctx, *run);
-    maybeInjectHang(*run, /*hedge=*/false);
-    enqueueCohortPipeline(ctx, std::move(run));
+    return run;
+}
+
+void
+RhythmServer::launchCohort(CohortContext &ctx)
+{
+    CohortContext *const group = &ctx;
+    std::shared_ptr<CohortRun> run = beginRun(ctx);
+    HostExecState hx;
+    executeCohortHost(ctx, *run, hx);
+    launchGroup({&group, 1}, {&run, 1}, {&hx, 1});
 }
 
 void
@@ -1097,31 +1105,8 @@ RhythmServer::launchCohortGroup(const std::vector<CohortContext *> &ctxs)
     runs.reserve(ctxs.size());
     std::vector<HostExecState> states(ctxs.size());
     for (size_t i = 0; i < ctxs.size(); ++i) {
-        CohortContext *ctx = ctxs[i];
-        if (config_.adaptiveBatching) {
-            if (lastLaunch_ != 0)
-                launchGapMs_.add(
-                    des::toMillis(queue_.now() - lastLaunch_));
-            lastLaunch_ = queue_.now();
-            launchSizeAvg_.add(
-                static_cast<double>(ctx->entries().size()));
-        }
-        ctx->markBusy();
-        ++stats_.cohortsLaunched;
-        auto run = std::make_shared<CohortRun>();
-        run->seq = cohortSeq_++;
-        run->launchedAt = queue_.now();
-        if (OBS_ENABLED()) {
-            const uint32_t tr = obs::track::kCohortBase + ctx->id();
-            OBS_TRACK_NAME(tr, "cohort ctx " + std::to_string(ctx->id()));
-            OBS_SPAN_COMPLETE(
-                tr, "dispatch", "stage", ctx->firstArrival(), queue_.now(),
-                {"requests", static_cast<uint64_t>(ctx->entries().size())},
-                {"type", std::string(service_.typeName(ctx->type()))});
-            OBS_COUNTER_ADD("server.cohorts_launched", 1);
-        }
-        runs.push_back(std::move(run));
-        executeCohortHost(*ctx, *runs[i], states[i]);
+        runs.push_back(beginRun(*ctxs[i]));
+        executeCohortHost(*ctxs[i], *runs[i], states[i]);
     }
 
     // Greedy grouping in collection order: each cohort joins the first
@@ -1148,9 +1133,7 @@ RhythmServer::launchCohortGroup(const std::vector<CohortContext *> &ctxs)
     for (size_t g = 0; g < groups.size(); ++g) {
         if (groups[g].size() == 1) {
             const size_t i = group_idx[g].front();
-            buildCohortCommands(*runs[i], states[i]);
-            maybeInjectHang(*runs[i], /*hedge=*/false);
-            enqueueCohortPipeline(*ctxs[i], runs[i]);
+            launchGroup(groups[g], {&runs[i], 1}, {&states[i], 1});
             continue;
         }
         std::vector<std::shared_ptr<CohortRun>> g_runs;
@@ -1161,7 +1144,7 @@ RhythmServer::launchCohortGroup(const std::vector<CohortContext *> &ctxs)
             g_runs.push_back(runs[i]);
             g_states.push_back(std::move(states[i]));
         }
-        launchFusedCohorts(groups[g], g_runs, g_states);
+        launchGroup(groups[g], g_runs, g_states);
     }
 }
 
@@ -1209,22 +1192,23 @@ RhythmServer::canFuse(const std::vector<CohortContext *> &group,
 }
 
 void
-RhythmServer::launchFusedCohorts(
-    const std::vector<CohortContext *> &group,
-    std::vector<std::shared_ptr<CohortRun>> &runs,
-    std::vector<HostExecState> &states)
+RhythmServer::launchGroup(std::span<CohortContext *const> group,
+                          std::span<const std::shared_ptr<CohortRun>> runs,
+                          std::span<HostExecState> states)
 {
-    ++stats_.fusedLaunches;
-    stats_.fusedCohorts += group.size();
-    OBS_COUNTER_ADD("warp.fusion.fused_launches", 1);
-    OBS_COUNTER_ADD("warp.fusion.fused_cohorts",
-                    static_cast<uint64_t>(group.size()));
+    if (group.size() > 1) {
+        ++stats_.fusedLaunches;
+        stats_.fusedCohorts += group.size();
+        OBS_COUNTER_ADD("warp.fusion.fused_launches", 1);
+        OBS_COUNTER_ADD("warp.fusion.fused_cohorts",
+                        static_cast<uint64_t>(group.size()));
+    }
 
-    buildFusedCommands(group, runs, states);
+    buildCommands(runs, states);
 
-    // The leader run carries the fused command sequence, the watchdog
-    // and (for hedge replay) every member's backend calls; followers'
-    // runs keep only their own buffers/responses for delivery.
+    // The leader run carries the command sequence, the watchdog and
+    // (for hedge replay) every member's backend calls; followers' runs
+    // keep only their own buffers/responses for delivery.
     const std::shared_ptr<CohortRun> &leader = runs.front();
     for (size_t i = 1; i < runs.size(); ++i) {
         leader->backendCalls.insert(leader->backendCalls.end(),
@@ -1271,14 +1255,6 @@ RhythmServer::maybeInjectHang(CohortRun &run, bool hedge)
     sequence.insert(sequence.begin(), cmd);
     if (!hedge)
         ++run.responseBeginIdx;
-}
-
-void
-RhythmServer::executeCohort(CohortContext &ctx, CohortRun &run)
-{
-    HostExecState hx;
-    executeCohortHost(ctx, run, hx);
-    buildCohortCommands(run, hx);
 }
 
 void
@@ -1363,26 +1339,15 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
     // canned 503 instead of their buffer content.
     std::vector<uint8_t> unavailable(sample, 0);
 
-    // Host-stage execution. Two structurally different but
-    // output-identical drivers (DESIGN.md 6f):
-    //
-    //  - Lane-major (the legacy serial order): each lane runs all its
-    //    stages before the next lane starts. Used when the service has
-    //    not audited any stage of this type for lane parallelism —
-    //    cross-lane-visible mutations then see the exact historical
-    //    order.
-    //
-    //  - Stage-major: all lanes run stage s before any lane runs
-    //    s+1. Stages the service declared lane-parallel fan out over
-    //    the sim pool in lane chunks (each lane touches only its own
-    //    trace slot, buffer slot and handler context); the others run
-    //    serially in lane order. Backend calls and all shared-state
-    //    bookkeeping (retry budget, stats) happen in a serial merge
-    //    phase in canonical lane order after each stage's fork/join,
-    //    so results are byte-identical at any --sim-threads.
-    bool any_parallel_stage = false;
-    for (int s = 0; s < stages; ++s)
-        any_parallel_stage |= service_.stageIsLaneParallel(type, s);
+    // Host-stage execution, stage-major (DESIGN.md 6f): all lanes run
+    // stage s before any lane runs s+1. Stages the service declared
+    // lane-parallel fan out over the sim pool in lane chunks (each lane
+    // touches only its own trace slot, buffer slot and handler
+    // context); the others run serially in lane order. Backend calls
+    // and all shared-state bookkeeping (retry budget, stats, failure
+    // latching) happen in a serial merge phase in canonical lane order
+    // after each stage's fork/join, so results are byte-identical at
+    // any --sim-threads.
 
     // Runs one (lane, stage) pair: bind the lane's recorder and writer,
     // execute the handler stage. Pure per-lane for parallel stages.
@@ -1398,16 +1363,16 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
         service_.runStage(type, s, hctx);
     };
     // Shared-state merge for one (lane, stage): failure latching and
-    // the backend round trip. Must run in canonical lane order.
-    // @return false when the lane is done (failed or final stage).
-    auto merge_lane_stage = [&](uint32_t lane, int s) -> bool {
+    // the backend round trip. Must run in canonical lane order. A lane
+    // whose failure flag is set runs no further stage.
+    auto merge_lane_stage = [&](uint32_t lane, int s) {
         specweb::HandlerContext &hctx = ctxs[lane];
         if (hctx.failed) {
             run.failed[lane] = 1;
-            return false;
+            return;
         }
         if (s >= stages - 1)
-            return false;
+            return;
         // Idempotency token for this logical call: unique across
         // (cohort launch, stage, lane), stable across retry attempts
         // and hedge replays. Slot widths bound real configurations
@@ -1438,53 +1403,36 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
             run.failed[lane] = 1;
             unavailable[lane] = 1;
             ++stats_.backendFailedLanes;
-            return false;
+            return;
         }
         if (record_backend_calls)
             run.backendCalls.push_back({token, hctx.backendRequest, resp});
         hctx.backendResponse = std::move(resp);
         hctx.backendRequest.clear();
-        return true;
     };
 
     for (uint32_t lane = 0; lane < sample; ++lane) {
         ctxs[lane].request = &ctx.entries()[lane].request;
         ctxs[lane].sessions = sessions_.get();
     }
-    if (!any_parallel_stage) {
+    // Chunk size only affects scheduling, never results (outputs are
+    // index-addressed); aim for a few chunks per worker.
+    const size_t grain =
+        std::max<size_t>(1, sample / (4 * util::simPool().threads()));
+    for (int s = 0; s < stages; ++s) {
+        auto run_lanes = [&](size_t begin, size_t end) {
+            for (size_t lane = begin; lane < end; ++lane) {
+                if (!run.failed[lane])
+                    run_lane_stage(static_cast<uint32_t>(lane), s);
+            }
+        };
+        if (service_.stageIsLaneParallel(type, s))
+            util::simPool().parallelRanges(sample, grain, run_lanes);
+        else
+            run_lanes(0, sample);
         for (uint32_t lane = 0; lane < sample; ++lane) {
-            for (int s = 0; s < stages; ++s) {
-                run_lane_stage(lane, s);
-                if (!merge_lane_stage(lane, s))
-                    break;
-            }
-        }
-    } else {
-        // Chunk size only affects scheduling, never results (outputs
-        // are index-addressed); aim for a few chunks per worker.
-        const size_t grain = std::max<size_t>(
-            1, sample / (4 * util::simPool().threads()));
-        std::vector<uint8_t> done(sample, 0);
-        for (int s = 0; s < stages; ++s) {
-            if (service_.stageIsLaneParallel(type, s)) {
-                util::simPool().parallelRanges(
-                    sample, grain, [&](size_t begin, size_t end) {
-                        for (size_t lane = begin; lane < end; ++lane) {
-                            if (!done[lane])
-                                run_lane_stage(
-                                    static_cast<uint32_t>(lane), s);
-                        }
-                    });
-            } else {
-                for (uint32_t lane = 0; lane < sample; ++lane) {
-                    if (!done[lane])
-                        run_lane_stage(lane, s);
-                }
-            }
-            for (uint32_t lane = 0; lane < sample; ++lane) {
-                if (!done[lane] && !merge_lane_stage(lane, s))
-                    done[lane] = 1;
-            }
+            if (!run.failed[lane])
+                merge_lane_stage(lane, s);
         }
     }
     run.responses.resize(sample);
@@ -1510,197 +1458,11 @@ RhythmServer::executeCohortHost(CohortContext &ctx, CohortRun &run,
 }
 
 void
-RhythmServer::buildCohortCommands(CohortRun &run, HostExecState &hx)
-{
-    const uint32_t type = hx.type;
-    const uint32_t n = hx.n;
-    const uint32_t sample = hx.sample;
-    const int stages = hx.stages;
-    const uint32_t lane_bytes = hx.laneBytes;
-    std::vector<std::vector<simt::ThreadTrace>> &stage_traces =
-        hx.stageTraces;
-    const uint64_t backend_insts = hx.backendInsts;
-    const uint64_t backend_calls = hx.backendCalls;
-    const std::vector<uint32_t> &retry_rounds = hx.retryRounds;
-    const std::vector<uint64_t> &retried_calls = hx.retriedCalls;
-
-    // ---- Build the simulated command sequence -----------------------
-    // Profile every pipeline stage in one engine region (warps of all
-    // stages share one index space, so small stages cannot strand pool
-    // workers), then assemble the command sequence serially in stage
-    // order — the canonical order the determinism contract requires.
-    std::vector<std::vector<const simt::ThreadTrace *>> stage_ptrs(
-        static_cast<size_t>(stages));
-    std::vector<simt::Engine::Launch> launches(
-        static_cast<size_t>(stages));
-    for (int s = 0; s < stages; ++s) {
-        const size_t si = static_cast<size_t>(s);
-        stage_ptrs[si].resize(sample);
-        for (uint32_t lane = 0; lane < sample; ++lane)
-            stage_ptrs[si][lane] = &stage_traces[si][lane];
-        launches[si].traces = &stage_ptrs[si];
-        launches[si].model = &config_.warpModel;
-        launches[si].name = std::string(service_.typeName(type)) +
-                            "-stage" + std::to_string(s);
-    }
-    std::vector<simt::KernelProfile> stage_profiles =
-        device_.engine().profileMany(launches);
-
-    using Cmd = CohortRun::Cmd;
-    const uint64_t backend_req_bytes =
-        static_cast<uint64_t>(n) * service_.backendRequestSlotBytes();
-    const uint64_t backend_resp_bytes =
-        static_cast<uint64_t>(n) * service_.backendResponseSlotBytes();
-
-    for (int s = 0; s < stages; ++s) {
-        simt::KernelProfile profile = scaleProfile(
-            std::move(stage_profiles[static_cast<size_t>(s)]), run.scale);
-        stats_.processIssueSlots +=
-            static_cast<double>(profile.totals.issueSlots);
-        stats_.processLaneInstructions +=
-            static_cast<double>(profile.totals.laneInstructions);
-        run.sequence.push_back(
-            Cmd{Cmd::Kind::Kernel,
-                computeKernelCost(profile, device_.config()), 0, 0});
-
-        if (s < stages - 1) {
-            stats_.backendRequests += n;
-            if (config_.backendOnDevice) {
-                // Device-resident backend (Titan B/C): one streaming
-                // kernel over the request/response records.
-                const uint32_t insts_per_thread = static_cast<uint32_t>(
-                    backend_calls ? backend_insts / backend_calls : 1000);
-                simt::KernelProfile bp = simt::KernelProfile::streaming(
-                    n, backend_req_bytes + backend_resp_bytes,
-                    insts_per_thread, config_.warpModel, "backend");
-                run.sequence.push_back(
-                    Cmd{Cmd::Kind::Kernel,
-                        computeKernelCost(bp, device_.config()), 0, 0});
-            } else {
-                // Host backend (Titan A): transpose → D2H → host service
-                // → H2D → transpose.
-                if (config_.transposeBuffers) {
-                    simt::KernelProfile tp =
-                        simt::KernelProfile::streaming(
-                            n, 2 * backend_req_bytes,
-                            kTransposeInstsPerThread, config_.warpModel,
-                            "breq-transpose");
-                    run.sequence.push_back(
-                        Cmd{Cmd::Kind::Kernel,
-                            computeKernelCost(tp, device_.config()), 0,
-                            0});
-                }
-                run.sequence.push_back(Cmd{Cmd::Kind::CopyToHost, {},
-                                           backend_req_bytes, 0});
-                run.sequence.push_back(
-                    Cmd{Cmd::Kind::HostDelay, {}, 0,
-                        des::fromSeconds(n /
-                                         config_.hostBackendReqsPerSec)});
-                run.sequence.push_back(Cmd{Cmd::Kind::CopyToDevice, {},
-                                           backend_resp_bytes, 0});
-                if (config_.transposeBuffers) {
-                    simt::KernelProfile tp =
-                        simt::KernelProfile::streaming(
-                            n, 2 * backend_resp_bytes,
-                            kTransposeInstsPerThread, config_.warpModel,
-                            "bresp-transpose");
-                    run.sequence.push_back(
-                        Cmd{Cmd::Kind::Kernel,
-                            computeKernelCost(tp, device_.config()), 0,
-                            0});
-                }
-            }
-
-            // Degradation costs for this cohort-stage: an injected
-            // backend brownout, exponential backoff between retry
-            // rounds, and the service time of the retried calls
-            // themselves. Zero on the default path, so the sequence is
-            // unchanged when no faults or retries occurred.
-            des::Time extra = 0;
-            if (faultPlan_) {
-                const fault::Decision slow =
-                    faultPlan_->at(fault::Site::BackendSlow, queue_.now());
-                if (slow.fire) {
-                    ++stats_.faultsInjected;
-                    OBS_INSTANT(obs::track::kEvents, "backend-slow",
-                                "fault",
-                                {"delay_us", des::toMicros(slow.delay)});
-                    extra += slow.delay;
-                }
-            }
-            const size_t si = static_cast<size_t>(s);
-            for (uint32_t r = 0; r < retry_rounds[si]; ++r)
-                extra += config_.retryBackoffBase
-                         << std::min<uint32_t>(r, 20);
-            if (retried_calls[si] > 0)
-                extra += des::fromSeconds(
-                    static_cast<double>(retried_calls[si]) /
-                    config_.hostBackendReqsPerSec);
-            if (extra > 0)
-                run.sequence.push_back(
-                    Cmd{Cmd::Kind::HostDelay, {}, 0, extra});
-        }
-    }
-
-    // Response path: transpose back to row-major (on device unless the
-    // Titan C offload handles it), then ship over PCIe if present.
-    run.responseBeginIdx = run.sequence.size();
-    if (config_.transposeBuffers && !config_.offloadResponseTranspose) {
-        simt::KernelProfile tp = simt::KernelProfile::streaming(
-            n, 2ull * lane_bytes * n, kTransposeInstsPerThread,
-            config_.warpModel, "resp-transpose");
-        run.sequence.push_back(Cmd{
-            Cmd::Kind::Kernel, computeKernelCost(tp, device_.config()), 0,
-            0});
-    }
-    if (config_.networkOverPcie) {
-        // The paper ships the full power-of-two response buffer across
-        // PCIe (26.4 KB per request on average, Section 6.1.1) — the
-        // loose-fit buffer overhead visible in Figures 9 and 10. With
-        // overlapPipeline the chunked DMA engines gather-scissor the
-        // download to the bytes actually occupied (content plus warp-max
-        // padding); the delivered responses are the same either way.
-        const uint64_t loose_fit = static_cast<uint64_t>(lane_bytes) * n;
-        const uint64_t ship_bytes =
-            config_.overlapPipeline
-                ? std::min(run.responseContentBytes + run.paddingBytes,
-                           loose_fit)
-                : loose_fit;
-        run.sequence.push_back(
-            Cmd{Cmd::Kind::CopyToHost, {}, ship_bytes, 0});
-    }
-
-    // Online fingerprint feed: every completed launch updates its
-    // type's self-similarity EWMA from the stage-0 traces (tracked
-    // only with fusion on; the fusion admission test reads it in O(1)).
-    if (fingerprints_)
-        fingerprints_->observeLaunch(
-            type, std::span<const simt::ThreadTrace *const>(
-                      stage_ptrs[0].data(), stage_ptrs[0].size()));
-
-    // Occupancy accounting: the tail lanes warp-width hardware would
-    // idle on each process-stage launch (executed-lane granularity).
-    const uint32_t width =
-        static_cast<uint32_t>(config_.warpModel.warpWidth);
-    const uint64_t padded =
-        static_cast<uint64_t>((sample + width - 1) / width * width -
-                              sample) *
-        static_cast<uint64_t>(stages);
-    stats_.paddedLanes += padded;
-    OBS_COUNTER_ADD("warp.fusion.padded_lanes", padded);
-
-    // The stage profiles are value copies; recycle the trace storage.
-    for (auto &v : stage_traces)
-        tracePool_.release(std::move(v));
-}
-
-void
-RhythmServer::buildFusedCommands(
-    const std::vector<CohortContext *> &group,
-    std::vector<std::shared_ptr<CohortRun>> &runs,
-    std::vector<HostExecState> &states)
+RhythmServer::buildCommands(std::span<const std::shared_ptr<CohortRun>> runs,
+                            std::span<HostExecState> states)
 {
     CohortRun &leader = *runs.front();
+    const bool fused = states.size() > 1;
     const int stages = states.front().stages;
     uint32_t total_sample = 0;
     uint32_t total_n = 0;
@@ -1718,30 +1480,33 @@ RhythmServer::buildFusedCommands(
     const double scale =
         static_cast<double>(total_n) / static_cast<double>(total_sample);
 
-    // Divergence-aware lane placement: concatenate each cohort's lanes
-    // as a contiguous block, in collection order. The lockstep
-    // scheduler's majority-block selection then amortizes fetches over
-    // whole same-type runs and only pays divergence where the types
-    // genuinely split — which is what the similarity admission test
-    // predicted was cheap.
-    std::vector<uint32_t> lane_tags(total_sample);
-    {
-        size_t off = 0;
+    // ---- Profile every stage ----------------------------------------
+    // All stages share one engine region (warps of all stages share one
+    // index space, so small stages cannot strand pool workers); the
+    // command sequence is then assembled serially in stage order — the
+    // canonical order the determinism contract requires.
+    //
+    // Divergence-aware lane placement: each cohort's lanes form one
+    // contiguous block, in collection order. The lockstep scheduler's
+    // majority-block selection then amortizes fetches over whole
+    // same-type runs and only pays divergence where the types genuinely
+    // split — which is what the similarity admission test predicted was
+    // cheap. A lone cohort carries no lane tags and keeps its type's
+    // kernel name, so its profile-cache key is the single-type one.
+    std::vector<uint32_t> lane_tags;
+    std::string name_prefix;
+    if (fused) {
+        lane_tags.reserve(total_sample);
+        name_prefix = "fused";
         for (const HostExecState &hx : states) {
-            std::fill(lane_tags.begin() + static_cast<long>(off),
-                      lane_tags.begin() +
-                          static_cast<long>(off + hx.sample),
-                      hx.type);
-            off += hx.sample;
+            lane_tags.insert(lane_tags.end(), hx.sample, hx.type);
+            name_prefix += "+" + std::string(service_.typeName(hx.type));
         }
     }
     std::vector<std::vector<const simt::ThreadTrace *>> stage_ptrs(
         static_cast<size_t>(stages));
     std::vector<simt::Engine::Launch> launches(
         static_cast<size_t>(stages));
-    std::string fused_name = "fused";
-    for (const HostExecState &hx : states)
-        fused_name += "+" + std::string(service_.typeName(hx.type));
     for (int s = 0; s < stages; ++s) {
         const size_t si = static_cast<size_t>(s);
         stage_ptrs[si].reserve(total_sample);
@@ -1751,10 +1516,14 @@ RhythmServer::buildFusedCommands(
         }
         launches[si].traces = &stage_ptrs[si];
         launches[si].model = &config_.warpModel;
-        launches[si].name = fused_name + "-stage" + std::to_string(s);
+        launches[si].name =
+            (fused ? name_prefix
+                   : std::string(service_.typeName(states.front().type))) +
+            "-stage" + std::to_string(s);
         // The per-lane tag layout keys the memoization fingerprint so
         // a fused warp can never alias a single-type one.
-        launches[si].laneTags = &lane_tags;
+        if (fused)
+            launches[si].laneTags = &lane_tags;
     }
     std::vector<simt::KernelProfile> stage_profiles =
         device_.engine().profileMany(launches);
@@ -1762,51 +1531,54 @@ RhythmServer::buildFusedCommands(
     // Online fingerprint feed: each member's self similarity from its
     // own contiguous lane slice, plus the measured cross similarity of
     // adjacent members (the pairs that actually share tail warps).
+    // Tracked only with fusion on; the admission test reads it in O(1).
     if (fingerprints_) {
         const std::span<const simt::ThreadTrace *const> all(
             stage_ptrs[0].data(), stage_ptrs[0].size());
         size_t off = 0;
-        std::vector<std::pair<size_t, size_t>> slices;
         for (const HostExecState &hx : states) {
-            slices.emplace_back(off, hx.sample);
             fingerprints_->observeLaunch(hx.type,
                                          all.subspan(off, hx.sample));
             off += hx.sample;
         }
-        for (size_t i = 1; i < states.size(); ++i)
+        off = 0;
+        for (size_t i = 1; i < states.size(); ++i) {
+            const HostExecState &prev = states[i - 1];
             fingerprints_->observePair(
-                states[i - 1].type,
-                all.subspan(slices[i - 1].first, slices[i - 1].second),
-                states[i].type,
-                all.subspan(slices[i].first, slices[i].second));
+                prev.type, all.subspan(off, prev.sample), states[i].type,
+                all.subspan(off + prev.sample, states[i].sample));
+            off += prev.sample;
+        }
     }
 
-    // Occupancy accounting for the fused launch: one shared tail warp
-    // instead of one per cohort.
+    // Occupancy accounting: the tail lanes warp-width hardware idles on
+    // each process-stage launch (executed-lane granularity) — one shared
+    // tail warp for a fused group instead of one per cohort.
     const uint32_t width =
         static_cast<uint32_t>(config_.warpModel.warpWidth);
     auto warps_of = [&](uint32_t lanes) {
         return (lanes + width - 1) / width;
     };
-    uint64_t separate_warps = 0;
-    for (const HostExecState &hx : states)
-        separate_warps += warps_of(hx.sample);
-    const uint64_t fused_warps = warps_of(total_sample);
+    const uint64_t launch_warps = warps_of(total_sample);
     const uint64_t padded =
-        static_cast<uint64_t>(fused_warps * width - total_sample) *
+        static_cast<uint64_t>(launch_warps * width - total_sample) *
         static_cast<uint64_t>(stages);
-    const uint64_t saved =
-        (separate_warps - fused_warps) * static_cast<uint64_t>(stages);
     stats_.paddedLanes += padded;
-    stats_.fusionSavedWarps += saved;
     OBS_COUNTER_ADD("warp.fusion.padded_lanes", padded);
-    OBS_COUNTER_ADD("warp.fusion.saved_warps", saved);
+    if (fused) {
+        uint64_t separate_warps = 0;
+        for (const HostExecState &hx : states)
+            separate_warps += warps_of(hx.sample);
+        const uint64_t saved = (separate_warps - launch_warps) *
+                               static_cast<uint64_t>(stages);
+        stats_.fusionSavedWarps += saved;
+        OBS_COUNTER_ADD("warp.fusion.saved_warps", saved);
+    }
 
-    // ---- Shared command sequence on the leader ----------------------
-    // Same shape as the unfused sequence, with every per-cohort count
-    // replaced by the group total: the fused kernels cover all lanes,
-    // the backend trips cover all cohorts' records, and the response
-    // path ships every cohort's buffer.
+    // ---- Command sequence on the leader -----------------------------
+    // Every count is the group total: the kernels cover all lanes, the
+    // backend trips cover all cohorts' records, and the response path
+    // ships every cohort's buffer.
     using Cmd = CohortRun::Cmd;
     const uint64_t backend_req_bytes =
         static_cast<uint64_t>(total_n) *
@@ -1829,6 +1601,8 @@ RhythmServer::buildFusedCommands(
         if (s < stages - 1) {
             stats_.backendRequests += total_n;
             if (config_.backendOnDevice) {
+                // Device-resident backend (Titan B/C): one streaming
+                // kernel over the request/response records.
                 const uint32_t insts_per_thread = static_cast<uint32_t>(
                     backend_calls ? backend_insts / backend_calls : 1000);
                 simt::KernelProfile bp = simt::KernelProfile::streaming(
@@ -1838,6 +1612,8 @@ RhythmServer::buildFusedCommands(
                     Cmd{Cmd::Kind::Kernel,
                         computeKernelCost(bp, device_.config()), 0, 0});
             } else {
+                // Host backend (Titan A): transpose → D2H → host service
+                // → H2D → transpose.
                 if (config_.transposeBuffers) {
                     simt::KernelProfile tp =
                         simt::KernelProfile::streaming(
@@ -1871,10 +1647,13 @@ RhythmServer::buildFusedCommands(
                 }
             }
 
-            // Degradation extras, one draw per member cohort per stage
-            // (the same number of fault-plan consultations the unfused
-            // launches would have made), plus each member's retry
-            // backoff and retried-call service time.
+            // Degradation costs for this stage: an injected backend
+            // brownout, exponential backoff between retry rounds, and
+            // the service time of the retried calls themselves — one
+            // fault-plan draw per member cohort, so a fused group makes
+            // the same consultations its cohorts would have made alone.
+            // Zero on the default path, so the sequence is unchanged
+            // when no faults or retries occurred.
             des::Time extra = 0;
             for (const HostExecState &hx : states) {
                 if (faultPlan_) {
@@ -1903,8 +1682,9 @@ RhythmServer::buildFusedCommands(
         }
     }
 
-    // Response path: one transpose pass and one PCIe download covering
-    // every member's buffer.
+    // Response path: one transpose pass back to row-major (on device
+    // unless the Titan C offload handles it) and one PCIe download, each
+    // covering every member's buffer.
     leader.responseBeginIdx = leader.sequence.size();
     if (config_.transposeBuffers && !config_.offloadResponseTranspose) {
         uint64_t resp_buf_bytes = 0;
@@ -1919,6 +1699,12 @@ RhythmServer::buildFusedCommands(
             0, 0});
     }
     if (config_.networkOverPcie) {
+        // The paper ships the full power-of-two response buffer across
+        // PCIe (26.4 KB per request on average, Section 6.1.1) — the
+        // loose-fit buffer overhead visible in Figures 9 and 10. With
+        // overlapPipeline the chunked DMA engines gather-scissor the
+        // download to the bytes actually occupied (content plus warp-max
+        // padding); the delivered responses are the same either way.
         uint64_t ship_bytes = 0;
         for (size_t i = 0; i < states.size(); ++i) {
             const uint64_t loose_fit =
@@ -1934,7 +1720,7 @@ RhythmServer::buildFusedCommands(
             Cmd{Cmd::Kind::CopyToHost, {}, ship_bytes, 0});
     }
 
-    (void)group;
+    // The stage profiles are value copies; recycle the trace storage.
     for (HostExecState &hx : states) {
         for (auto &v : hx.stageTraces)
             tracePool_.release(std::move(v));
@@ -1962,53 +1748,53 @@ RhythmServer::enqueueCohortPipeline(CohortContext &ctx,
                                  });
         run->watchdogArmed = true;
     }
-    startCohortExec(ctx, std::move(run), stream, /*hedge=*/false);
+    stepCohortExec(ctx, std::move(run), stream, /*hedge=*/false);
 }
 
 void
-RhythmServer::startCohortExec(CohortContext &ctx,
-                              std::shared_ptr<CohortRun> run, int stream,
-                              bool hedge)
+RhythmServer::stepCohortExec(CohortContext &ctx,
+                             std::shared_ptr<CohortRun> run, int stream,
+                             bool hedge)
 {
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &ctx, run, stream, step, hedge]() {
-        const std::vector<CohortRun::Cmd> &seq =
-            hedge ? run->hedgeSequence : run->sequence;
-        size_t &next = hedge ? run->hedgeNextCmd : run->nextCmd;
-        if (!hedge && !run->delivered && OBS_ENABLED() &&
-            !run->processClosed && next == run->responseBeginIdx) {
-            // All process-stage commands have completed; the remaining
-            // commands (if any) are the response path.
-            run->processClosed = true;
-            run->responseStart = queue_.now();
-            OBS_SPAN_COMPLETE(
-                obs::track::kCohortBase + ctx.id(), "process", "stage",
-                run->launchedAt, queue_.now(),
-                {"commands",
-                 static_cast<uint64_t>(run->responseBeginIdx)},
-                {"lanes", static_cast<uint64_t>(run->executedLanes)});
-        }
-        if (next >= seq.size()) {
-            execCompleted(ctx, run, hedge);
-            return;
-        }
-        const CohortRun::Cmd &cmd = seq[next++];
-        switch (cmd.kind) {
-          case CohortRun::Cmd::Kind::Kernel:
-            device_.launchKernel(stream, cmd.cost, *step);
-            break;
-          case CohortRun::Cmd::Kind::CopyToHost:
-            device_.copyToHost(stream, cmd.bytes, *step);
-            break;
-          case CohortRun::Cmd::Kind::CopyToDevice:
-            device_.copyToDevice(stream, cmd.bytes, *step);
-            break;
-          case CohortRun::Cmd::Kind::HostDelay:
-            queue_.scheduleAfter(cmd.delay, *step);
-            break;
-        }
+    const std::vector<CohortRun::Cmd> &seq =
+        hedge ? run->hedgeSequence : run->sequence;
+    size_t &next = hedge ? run->hedgeNextCmd : run->nextCmd;
+    if (!hedge && !run->delivered && OBS_ENABLED() &&
+        !run->processClosed && next == run->responseBeginIdx) {
+        // All process-stage commands have completed; the remaining
+        // commands (if any) are the response path.
+        run->processClosed = true;
+        run->responseStart = queue_.now();
+        OBS_SPAN_COMPLETE(
+            obs::track::kCohortBase + ctx.id(), "process", "stage",
+            run->launchedAt, queue_.now(),
+            {"commands", static_cast<uint64_t>(run->responseBeginIdx)},
+            {"lanes", static_cast<uint64_t>(run->executedLanes)});
+    }
+    if (next >= seq.size()) {
+        execCompleted(ctx, run, hedge);
+        return;
+    }
+    const CohortRun::Cmd &cmd = seq[next++];
+    // The pending command's callback is the run's only owner on this
+    // execution, so the run is freed once its last command completes.
+    auto step = [this, &ctx, run = std::move(run), stream, hedge]() {
+        stepCohortExec(ctx, run, stream, hedge);
     };
-    (*step)();
+    switch (cmd.kind) {
+      case CohortRun::Cmd::Kind::Kernel:
+        device_.launchKernel(stream, cmd.cost, std::move(step));
+        break;
+      case CohortRun::Cmd::Kind::CopyToHost:
+        device_.copyToHost(stream, cmd.bytes, std::move(step));
+        break;
+      case CohortRun::Cmd::Kind::CopyToDevice:
+        device_.copyToDevice(stream, cmd.bytes, std::move(step));
+        break;
+      case CohortRun::Cmd::Kind::HostDelay:
+        queue_.scheduleAfter(cmd.delay, std::move(step));
+        break;
+    }
 }
 
 void
@@ -2088,7 +1874,7 @@ RhythmServer::hedgeCohort(CohortContext &ctx,
     maybeInjectHang(*run, /*hedge=*/true);
     run->hedgeNextCmd = 0;
     const int stream = hedgeStreams_[ctx.id() % hedgeStreams_.size()];
-    startCohortExec(ctx, run, stream, /*hedge=*/true);
+    stepCohortExec(ctx, run, stream, /*hedge=*/true);
 }
 
 void

@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -464,13 +465,18 @@ class RhythmServer
     // the pipeline-execution block in server.cc.
     struct CohortRun;
     struct HostExecState;
+    /** Per-cohort launch bookkeeping (adaptive EWMAs, context busy,
+     *  stats, launch ordinal, dispatch span); returns the new run. */
+    std::shared_ptr<CohortRun> beginRun(CohortContext &ctx);
+    /** Launches one cohort: host execution, then a group of one. */
     void launchCohort(CohortContext &ctx);
     /**
      * Launches a set of cohorts collected at one scan instant. With
      * fusion off (or a single cohort) this is a plain launchCohort()
-     * loop; with fusion on, similarity-compatible partial cohorts are
-     * greedily grouped (collection order, so the grouping is
-     * deterministic) and each multi-cohort group launches fused.
+     * loop; with fusion on, every cohort is host-executed first, then
+     * similarity-compatible partial cohorts are greedily grouped
+     * (collection order, so the grouping is deterministic) and each
+     * group launches as one command sequence.
      */
     void launchCohortGroup(const std::vector<CohortContext *> &ctxs);
     /** Fusion admission test for adding @p next to @p group: equal
@@ -478,12 +484,12 @@ class RhythmServer
      *  above the threshold against every member, group-size cap. */
     bool canFuse(const std::vector<CohortContext *> &group,
                  const CohortContext &next) const;
-    /** Launches two or more host-executed cohorts as one fused command
-     *  sequence (bookkeeping and host execution already done by
-     *  launchCohortGroup, in collection order). */
-    void launchFusedCohorts(const std::vector<CohortContext *> &group,
-                            std::vector<std::shared_ptr<CohortRun>> &runs,
-                            std::vector<HostExecState> &states);
+    /** Builds and enqueues the launch of host-executed cohorts: a lone
+     *  cohort is a group of one; a fused group rides its leader's
+     *  command sequence, the other members as followers. */
+    void launchGroup(std::span<CohortContext *const> group,
+                     std::span<const std::shared_ptr<CohortRun>> runs,
+                     std::span<HostExecState> states);
     void scheduleTimeoutScan();
     void completeRequest(uint64_t client_id, std::string_view response,
                          des::Time latency, bool failed,
@@ -507,26 +513,25 @@ class RhythmServer
     // state; HostExecState the host-execution products of one cohort
     // (stage traces + backend bookkeeping) handed from
     // executeCohortHost to command building.
-    void executeCohort(CohortContext &ctx, CohortRun &run);
     /** Runs the handler stages on the host: fills the cohort buffer,
      *  responses and failure flags, records stage traces into @p hx. */
     void executeCohortHost(CohortContext &ctx, CohortRun &run,
                            HostExecState &hx);
-    /** Profiles @p hx's stage traces and builds @p run's command
-     *  sequence (the unfused path; byte-identical to pre-fusion). */
-    void buildCohortCommands(CohortRun &run, HostExecState &hx);
-    /** Profiles the concatenated lanes of a fused group (same-type
-     *  lanes contiguous, per-lane type tags) and builds the shared
-     *  command sequence on the leader run. */
-    void buildFusedCommands(const std::vector<CohortContext *> &group,
-                            std::vector<std::shared_ptr<CohortRun>> &runs,
-                            std::vector<HostExecState> &states);
+    /** Profiles the concatenated lanes of a launch group and builds the
+     *  command sequence on the leader run. Lanes of each cohort stay
+     *  contiguous; only a group of two or more carries per-lane type
+     *  tags and a fused kernel name. */
+    void buildCommands(std::span<const std::shared_ptr<CohortRun>> runs,
+                       std::span<HostExecState> states);
     void enqueueCohortPipeline(CohortContext &ctx,
                                std::shared_ptr<CohortRun> run);
-    /** Steps one execution (primary or hedge) of a run on a stream. */
-    void startCohortExec(CohortContext &ctx,
-                         std::shared_ptr<CohortRun> run, int stream,
-                         bool hedge);
+    /** Issues the next command of one execution (primary or hedge) of
+     *  a run on a stream. The command's completion callback owns the
+     *  run and issues the command after it, so the chain ends — and
+     *  the run is freed — with its last command. */
+    void stepCohortExec(CohortContext &ctx,
+                        std::shared_ptr<CohortRun> run, int stream,
+                        bool hedge);
     /** First-completion-wins delivery guard for primary and hedge. */
     void execCompleted(CohortContext &ctx,
                        const std::shared_ptr<CohortRun> &run, bool hedge);

@@ -74,6 +74,10 @@ class SearchService : public core::Service
     uint32_t responseBufferBytes(uint32_t type_id) const override;
     void runStage(uint32_t type_id, int stage,
                   specweb::HandlerContext &ctx) const override;
+    /** Every stage is lane-parallel: handlers only read the request
+     *  and write their lane's context, trace and buffer slot (the
+     *  index is reached through the backend, in the serial merge). */
+    bool stageIsLaneParallel(uint32_t, int) const override { return true; }
     std::string executeBackend(std::string_view request,
                                simt::TraceRecorder &rec) override;
 

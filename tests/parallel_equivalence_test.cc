@@ -17,6 +17,7 @@
  */
 
 #include <algorithm>
+#include <functional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "backend/bankdb.hh"
+#include "chat/service.hh"
 #include "des/event_queue.hh"
 #include "fault/device_injector.hh"
 #include "fault/plan.hh"
@@ -35,6 +37,7 @@
 #include "rhythm/banking_service.hh"
 #include "rhythm/fleet.hh"
 #include "rhythm/server.hh"
+#include "search/service.hh"
 #include "simt/device.hh"
 #include "simt/profile_cache.hh"
 #include "specweb/workload.hh"
@@ -675,6 +678,104 @@ runFusionFlash(unsigned threads, bool fusion, size_t cache_entries = 0,
     return fp;
 }
 
+/**
+ * One rhythm_sim-shaped closed-loop run of a non-banking service on
+ * Titan B, pulling requests from @p next. Chat and search declare every
+ * handler stage lane-parallel, so these runs put each service's
+ * handlers on the pool fan-out; their backend calls (chat posts mutate
+ * the room store) stay in the serial merge. The fingerprint carries the
+ * order-insensitive response digest.
+ */
+Fingerprint
+runService(core::Service &service, const std::function<std::string()> &next,
+           unsigned threads, size_t cache_entries)
+{
+    util::setSimThreads(threads);
+    obs::global().reset();
+
+    platform::TitanVariant variant = platform::titanB();
+    core::RhythmConfig cfg = variant.server;
+    cfg.cohortSize = 256;
+    cfg.cohortContexts = 8;
+    cfg.laneSample = 128;
+    if (cache_entries > 0)
+        cfg.traceTemplateCacheEntries =
+            static_cast<uint32_t>(cache_entries);
+    const uint64_t total = 6 * cfg.cohortSize;
+
+    des::EventQueue queue;
+    obs::global().enable(queue);
+    simt::ProfileCache cache(std::max<size_t>(cache_entries, 1));
+    simt::Device device(queue, variant.device);
+    if (cache_entries > 0)
+        device.engine().setProfileCache(&cache);
+    core::RhythmServer server(queue, device, service, cfg);
+
+    Fingerprint fp;
+    server.setResponseCallback(
+        [&fp](uint64_t client_id, std::string_view response, des::Time) {
+            fp.responseDigestSum += responseHash(client_id, response);
+        });
+    uint64_t issued = 0;
+    server.start([&]() -> std::optional<std::string> {
+        if (issued >= total)
+            return std::nullopt;
+        ++issued;
+        return next();
+    });
+    queue.run();
+
+    fp.clock = queue.now();
+    fp.dispatched = queue.dispatched();
+    fp.orderHash = queue.orderHash();
+    fp.responses = server.stats().responsesCompleted;
+    fp.errors = server.stats().errorResponses;
+    fp.engineLaunches = device.engine().launches();
+    fp.engineWarps = device.engine().warps();
+    fp.sms = device.engine().smCounters();
+    fp.metrics = obs::global().metrics().flatten(
+        std::span<const std::string_view>(
+            obs::kBaselineExcludedPrefixes));
+    std::ostringstream trace;
+    obs::global().tracer().writeChromeTrace(trace);
+    fp.trace = trace.str();
+    fp.cacheStats = cache.stats();
+
+    obs::global().disable();
+    obs::global().reset();
+    util::setSimThreads(1);
+    return fp;
+}
+
+/** The Chat mix (posts, polls, history, room list) through runService. */
+Fingerprint
+runChat(unsigned threads, size_t cache_entries = 0)
+{
+    chat::RoomStore store(64, 40, 42);
+    chat::ChatGenerator gen(store, 42 * 13 + 5);
+    chat::ChatService service(store);
+    return runService(
+        service,
+        [&gen]() {
+            chat::PageType type;
+            return gen.next(type);
+        },
+        threads, cache_entries);
+}
+
+/** The Search mix (home, results, document, suggest) through runService. */
+Fingerprint
+runSearch(unsigned threads, size_t cache_entries = 0)
+{
+    search::Corpus corpus(1000, 4096, 42);
+    search::InvertedIndex index(corpus);
+    search::QueryGenerator gen(corpus, 42 * 17 + 3);
+    search::SearchService service(index);
+    return runService(
+        service, [&gen]() { return gen.next().raw; }, threads,
+        cache_entries);
+}
+
 /** Looks up one flattened metric; -1 when absent. */
 double
 metricValue(const Fingerprint &fp, std::string_view name)
@@ -805,6 +906,40 @@ TEST(ParallelEquivalenceTest, MixedAuthBrowsingRunIsByteIdentical)
         expectSameCacheStats(cached.cacheStats, parallel.cacheStats,
                              threads);
     }
+}
+
+/** Chat/search runs at 1/2/8 sim threads, profile cache off and on,
+ *  all byte-identical to the serial cache-off run. */
+void
+expectServiceRunsIdentical(
+    const std::function<Fingerprint(unsigned, size_t)> &run)
+{
+    const Fingerprint serial = run(1, 0);
+    // Sanity: real responses, and more than one warp per launch to
+    // split across pool workers.
+    ASSERT_GT(serial.responses, 0u);
+    ASSERT_NE(serial.responseDigestSum, 0u);
+    ASSERT_GT(serial.engineWarps, serial.engineLaunches);
+    for (unsigned threads : {1u, 2u, 8u}) {
+        if (threads > 1)
+            expectIdentical(serial, run(threads, 0), threads);
+        SCOPED_TRACE("profile cache on");
+        expectIdentical(serial, run(threads, 4096), threads);
+    }
+}
+
+TEST(ParallelEquivalenceTest, ChatRunIsByteIdentical)
+{
+    expectServiceRunsIdentical([](unsigned threads, size_t cache) {
+        return runChat(threads, cache);
+    });
+}
+
+TEST(ParallelEquivalenceTest, SearchRunIsByteIdentical)
+{
+    expectServiceRunsIdentical([](unsigned threads, size_t cache) {
+        return runSearch(threads, cache);
+    });
 }
 
 TEST(ParallelEquivalenceTest, AdaptiveFlashRunIsByteIdentical)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Command-line boundary checks for rhythm_sim and every bench binary.
+"""Command-line boundary checks for rhythm_sim, every bench binary and
+the example programs.
 
 Each binary's --help is generated from its option table, so the help
 text is the list of flags to probe:
@@ -7,7 +8,9 @@ text is the list of flags to probe:
   test_cli.py boundary BUILD_DIR
       For every flag a binary declares, non-numeric, nan, -1, 1e30 and
       3x values, plus one unknown and one repeated flag, must each exit
-      2 with `error:` on stderr -- never 0, never a signal.
+      2 with `error:` on stderr -- never 0, never a signal. Each example
+      program's positional integers get the same bad values, each
+      position's out-of-range values, and one surplus argument.
   test_cli.py edges BUILD_DIR
       rhythm_sim at --cohorts=1 --cohort-size=64 with each numeric
       flag at, and just outside, both ends of its declared range must
@@ -36,6 +39,19 @@ FOREIGN_FLAGS = {"host-tolerance", "test-dir", "build"}
 # million cohorts, ten million bank users); only their edge just above
 # the range, which is rejected at parse time, is run.
 SCALE_FLAGS = {"cohorts", "users"}
+
+# Example programs take positional integers instead of flags: the number
+# of positions, and argument lists with one value just outside its range
+# (earlier positions hold the in-range value 1).
+EXAMPLES = {
+    "banking_server": (3, [["0"], ["100001"], ["1", "0"], ["1", "10001"],
+                           ["1", "1", "0"], ["1", "1", "65537"]]),
+    "search_server": (3, [["0"], ["1000001"], ["1", "0"],
+                          ["1", "10000001"], ["1", "1", "0"],
+                          ["1", "1", "65537"]]),
+    "platform_explorer": (1, [["14"]]),
+    "similarity_study": (1, [["0"], ["1001"]]),
+}
 
 HELP_LINE = re.compile(
     r"^  --(?P<neg>\[no-\])?(?P<name>[a-z0-9-]+)(?P<prefix><type>)?"
@@ -143,6 +159,12 @@ def boundary(build):
                       [binary, "--no-such-flag=1"]))
         cases.append((f"{short} repeated flag",
                       [binary, "--sim-threads=1", "--sim-threads=1"]))
+    for name, (positions, out_of_range) in EXAMPLES.items():
+        binary = os.path.join(build, "examples", name)
+        args = [["1"] * p + [value] for p in range(positions)
+                for value in BAD_VALUES]
+        args += out_of_range + [["1"] * (positions + 1)]
+        cases += [(f"{name} {' '.join(a)}", [binary] + a) for a in args]
     failures = check_all(cases, expect_usage_error)
     print(f"{len(cases)} malformed command lines checked")
     return failures
