@@ -51,8 +51,8 @@ main(int argc, char **argv)
         opts.cohorts = 10;
         opts.users = 2000;
         opts.laneSample = 128;
-        bench::applyFaults(flags, opts);
-        bench::applyOverlap(flags, opts);
+        bench::applyFaults(flags, b, opts);
+        bench::applyOverlap(flags, b);
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::AccountSummary, opts);
         table.addRow({cfg.name, bench::fmt(r.throughput / 1e3, 0),

@@ -29,9 +29,9 @@ main(int argc, char **argv)
     platform::IsolatedRunOptions opts;
     opts.cohorts = 6;
     opts.users = 1000;
-    bench::applyFaults(flags, opts);
+    bench::applyFaults(flags, b, opts);
     report.config(flags, bench::kFaultFlags);
-    bench::applyOverlap(flags, opts);
+    bench::applyOverlap(flags, b);
     report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"lanes executed / cohort", "KReqs/s",

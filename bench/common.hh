@@ -427,6 +427,14 @@ inline constexpr FlagGroup kFaultFlags{
     "default)",
     kFaultFlagRows};
 
+/** The fault family without the recovery layer, for the benches that
+ *  drive a server directly and attach no journaled backend. */
+inline constexpr auto kFaultNoRecoveryRows =
+    omitFlags(kFaultFlagRows, {"recovery", "checkpoint-interval"});
+inline constexpr FlagGroup kFaultNoRecoveryFlags{
+    "fault injection and graceful degradation (all off by default)",
+    kFaultNoRecoveryRows};
+
 /** Overlays the degradation knobs onto a server config (every table
  *  default is RhythmConfig's: all off). */
 inline void
@@ -448,15 +456,17 @@ applyFaults(const Flags &f, simt::DeviceConfig &cfg)
         cfg.pcieCrcEnabled = true;
 }
 
-/** Overlays everything onto an isolated-run options block (the
- *  evaluateTitan/runIsolatedType path). */
+/** Overlays the fault flags onto an isolated run (the evaluateTitan /
+ *  runIsolatedType path): the variant's server and device configs take
+ *  the overlays above, the options block the fault schedule and the
+ *  recovery layer. */
 inline void
-applyFaults(const Flags &f, platform::IsolatedRunOptions &opts)
+applyFaults(const Flags &f, platform::TitanVariant &variant,
+            platform::IsolatedRunOptions &opts)
 {
+    applyFaults(f, variant.server);
+    applyFaults(f, variant.device);
     opts.faults = faultConfig(f);
-    opts.retryBudget = static_cast<uint32_t>(f.u64("retry-budget"));
-    opts.watchdogTimeout = millis(f, "watchdog-ms");
-    opts.pcieFrameCrc = f.on("pcie-crc");
     opts.recovery = f.on("recovery");
     opts.checkpointInterval = f.u64("checkpoint-interval");
 }
@@ -544,15 +554,12 @@ applyOverlap(const Flags &f, core::RhythmConfig &cfg)
         cfg.overlapPipeline = true;
 }
 
-/** Overlays everything onto an isolated-run options block. */
+/** Overlays the overlap knobs onto a Titan variant. */
 inline void
-applyOverlap(const Flags &f, platform::IsolatedRunOptions &opts)
+applyOverlap(const Flags &f, platform::TitanVariant &variant)
 {
-    if (!f.anyGiven(kOverlapFlags))
-        return;
-    opts.overlapPipeline = f.on("overlap");
-    opts.copyEngines = copyEngines(f);
-    opts.copyChunkBytes = copyChunkBytes(f);
+    applyOverlap(f, variant.server);
+    applyOverlap(f, variant.device);
 }
 
 inline constexpr Flag kBatchingFlagRows[] = {
@@ -677,6 +684,13 @@ openLoop(const Flags &f)
 inline constexpr FlagGroup kArrivalFlags{
     "open-loop arrivals (closed loop by default)", kArrivalFlagRows,
     openLoop};
+
+/** The arrival rows the flash-crowd acceptance benches read (they fix
+ *  the arrival shapes themselves). */
+inline constexpr auto kFlashSweepRows = pickFlags(
+    kArrivalFlagRows, {"arrival-rate", "arrival-seed", "flash-mult"});
+inline constexpr FlagGroup kFlashSweepFlags{
+    "arrival rate, seed and flash burst", kFlashSweepRows};
 
 /** The arrival process the flags describe. */
 inline net::ArrivalConfig

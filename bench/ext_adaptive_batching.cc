@@ -178,6 +178,13 @@ constexpr Flag kQuickFlagRows[] = {
 };
 constexpr FlagGroup kQuickFlags{"run length", kQuickFlagRows};
 
+// The sweep fixes its deadlines and the policy of each arm; only the
+// adaptive arm's tuning rows of the batching family are read.
+constexpr auto kAdaptiveRows =
+    pickFlags(bench::kBatchingFlagRows,
+              {"slack-safety", "adaptive-scan-us", "admission"});
+constexpr FlagGroup kAdaptiveFlags{"adaptive arm tuning", kAdaptiveRows};
+
 } // namespace
 
 int
@@ -185,8 +192,8 @@ main(int argc, char **argv)
 {
     const Flags flags = bench::parseArgs(
         argc, argv,
-        {&kQuickFlags, &bench::kFaultFlags, &bench::kBatchingFlags,
-         &bench::kArrivalFlags});
+        {&kQuickFlags, &bench::kFaultNoRecoveryFlags, &kAdaptiveFlags,
+         &bench::kFlashSweepFlags});
     bench::Reporter report("ext_adaptive_batching", flags.text("json"));
     bench::banner(
         "Extension: deadline-aware adaptive cohort formation",
@@ -194,13 +201,13 @@ main(int argc, char **argv)
 
     const bool quick = flags.on("quick");
 
-    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kFaultNoRecoveryFlags);
 
     // Operating points. The base rate/seed may be overridden by the
-    // shared arrival flags (the table's default rate selects this
-    // bench's own); the flash burst rides on the low rate.
-    const double arrival_rate = flags.real("arrival-rate");
-    const double base_rate = arrival_rate != 200e3 ? arrival_rate : 60e3;
+    // shared arrival flags (without --arrival-rate this bench uses its
+    // own); the flash burst rides on the low rate.
+    const double base_rate =
+        flags.given("arrival-rate") ? flags.real("arrival-rate") : 60e3;
     const uint64_t seed = flags.u64("arrival-seed");
     const double flash_mult = flags.real("flash-mult");
     const uint64_t n_low = quick ? 8000 : 30000;

@@ -81,12 +81,12 @@ int
 main(int argc, char **argv)
 {
     const Flags flags = bench::parseArgs(
-        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+        argc, argv, {&bench::kFaultNoRecoveryFlags, &bench::kOverlapFlags});
     bench::Reporter report("ext_chat_workload", flags.text("json"));
     bench::banner("Extension: the Chat workload on Rhythm (Titan B)",
                   "Section 8 future work (Search/Email/Chat on Rhythm)");
 
-    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kFaultNoRecoveryFlags);
     report.config(flags, bench::kOverlapFlags);
 
     chat::RoomStore store(256, 40, 7);

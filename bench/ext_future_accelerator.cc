@@ -52,9 +52,7 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    bench::applyFaults(flags, opts);
     report.config(flags, bench::kFaultFlags);
-    bench::applyOverlap(flags, opts);
     report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"design", "MReqs/s", "latency ms", "dynamic W",
@@ -71,6 +69,8 @@ main(int argc, char **argv)
         // More SMs need proportionally more cohorts in flight.
         v.server.cohortContexts =
             8u * static_cast<uint32_t>(d.smMultiplier);
+        bench::applyFaults(flags, v, opts);
+        bench::applyOverlap(flags, v);
 
         platform::TitanWorkloadResult r =
             platform::evaluateTitan(v, opts);

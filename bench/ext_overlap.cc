@@ -10,7 +10,8 @@
  * and gates the speedup at ≥1.2x per type at unchanged raw link
  * bandwidth. The client-visible responses must be identical in both
  * modes: the run checks request counts and response bytes per request,
- * and CI separately compares rhythm_sim --digest-out fingerprints.
+ * and the equivalence matrix (tools/equivalence.py) separately compares
+ * rhythm_sim --digest-out fingerprints.
  *
  * Only the PCIe-bound types are gated. Verbose loose-fit types
  * (account summary, bill pay status output) ship full buffers either
@@ -23,12 +24,23 @@
 #include "bench/common.hh"
 #include "platform/titan.hh"
 
+namespace {
+
+// The overlapped arm always pipelines the parse (--overlap would be
+// ignored), so only the copy-engine tuning rows are declared.
+constexpr auto kTuningRows = rhythm::pickFlags(
+    rhythm::bench::kOverlapFlagRows, {"copy-engines", "copy-chunk-kb"});
+constexpr rhythm::FlagGroup kTuningFlags{"overlapped-arm tuning",
+                                         kTuningRows};
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     using namespace rhythm;
-    const Flags flags = bench::parseArgs(
-        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+    const Flags flags =
+        bench::parseArgs(argc, argv, {&bench::kFaultFlags, &kTuningFlags});
     bench::Reporter report("ext_overlap", flags.text("json"));
     bench::banner("Extension: PCIe transfer/compute overlap acceptance",
                   "DESIGN.md 6h (>=1.2x on PCIe-bound types, responses "
@@ -44,23 +56,24 @@ main(int argc, char **argv)
         specweb::RequestType::Logout,
     };
 
-    platform::TitanVariant a = platform::titanA();
-    platform::IsolatedRunOptions base;
-    base.cohorts = 10;
-    base.users = 2000;
-    base.laneSample = 128;
-    bench::applyFaults(flags, base);
+    platform::TitanVariant serial = platform::titanA();
+    platform::IsolatedRunOptions opts;
+    opts.cohorts = 10;
+    opts.users = 2000;
+    opts.laneSample = 128;
+    bench::applyFaults(flags, serial, opts);
     report.config(flags, bench::kFaultFlags);
 
     // --copy-engines / --copy-chunk-kb tune the overlapped
     // configuration; the off run always uses the legacy single-engine
     // whole-buffer path.
-    platform::IsolatedRunOptions on = base;
-    on.overlapPipeline = true;
-    on.copyEngines = flags.given("copy-engines")
-                         ? static_cast<int>(flags.u64("copy-engines"))
-                         : bench::kDefaultCopyEngines;
-    on.copyChunkBytes =
+    platform::TitanVariant overlapped = serial;
+    overlapped.server.overlapPipeline = true;
+    overlapped.device.copyEngines =
+        flags.given("copy-engines")
+            ? static_cast<int>(flags.u64("copy-engines"))
+            : bench::kDefaultCopyEngines;
+    overlapped.device.copyChunkBytes =
         flags.u64("copy-chunk-kb") > 0
             ? static_cast<uint32_t>(flags.u64("copy-chunk-kb") * 1024)
             : bench::kDefaultChunkBytes;
@@ -68,11 +81,13 @@ main(int argc, char **argv)
     // check_bench.py requires these keys for this bench: the overlap
     // configuration under test must be reproducible from the document.
     report.config("overlap", 1.0);
-    report.config("copy_engines", static_cast<double>(on.copyEngines));
-    report.config("copy_chunk_kb", on.copyChunkBytes / 1024.0);
-    report.config("cohorts", base.cohorts);
-    report.config("users", base.users);
-    report.config("lane_sample", base.laneSample);
+    report.config("copy_engines",
+                  static_cast<double>(overlapped.device.copyEngines));
+    report.config("copy_chunk_kb",
+                  overlapped.device.copyChunkBytes / 1024.0);
+    report.config("cohorts", opts.cohorts);
+    report.config("users", opts.users);
+    report.config("lane_sample", opts.laneSample);
 
     TableWriter table({"request type", "off KReqs/s", "on KReqs/s",
                        "speedup", "overlap frac", "resp B/req equal"});
@@ -81,9 +96,9 @@ main(int argc, char **argv)
     for (specweb::RequestType type : gated) {
         const specweb::RequestTypeInfo &info = specweb::typeInfo(type);
         const platform::TypeRunResult off =
-            platform::runIsolatedType(a, type, base);
+            platform::runIsolatedType(serial, type, opts);
         const platform::TypeRunResult with =
-            platform::runIsolatedType(a, type, on);
+            platform::runIsolatedType(overlapped, type, opts);
         const double speedup =
             off.throughput > 0.0 ? with.throughput / off.throughput : 0.0;
         min_speedup = std::min(min_speedup, speedup);

@@ -82,12 +82,12 @@ int
 main(int argc, char **argv)
 {
     const Flags flags = bench::parseArgs(
-        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+        argc, argv, {&bench::kFaultNoRecoveryFlags, &bench::kOverlapFlags});
     bench::Reporter report("ext_search_workload", flags.text("json"));
     bench::banner("Extension: the Search workload on Rhythm (Titan B)",
                   "Section 8 future work (Search/Email/Chat on Rhythm)");
 
-    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kFaultNoRecoveryFlags);
     report.config(flags, bench::kOverlapFlags);
 
     std::cout << "Building corpus and inverted index...\n";

@@ -160,6 +160,16 @@ constexpr Flag kQuickFlagRows[] = {
 };
 constexpr FlagGroup kQuickFlags{"run length", kQuickFlagRows};
 
+// The sweep fixes its arrival process, device arms, balancer and
+// transfer mix; only the rate, the seeds and the shard map are
+// tunable, so only those rows are declared.
+constexpr auto kSweepRows = pickFlags(bench::kArrivalFlagRows,
+                                      {"arrival-rate", "arrival-seed"});
+constexpr FlagGroup kSweepFlags{"arrival rate and seed", kSweepRows};
+constexpr auto kShardRows = pickFlags(bench::kShardingFlagRows,
+                                      {"shard-seed"});
+constexpr FlagGroup kShardFlags{"shard map", kShardRows};
+
 } // namespace
 
 int
@@ -167,7 +177,7 @@ main(int argc, char **argv)
 {
     const Flags flags = bench::parseArgs(
         argc, argv,
-        {&kQuickFlags, &bench::kArrivalFlags, &bench::kShardingFlags});
+        {&kQuickFlags, &kSweepFlags, &kShardFlags});
     bench::Reporter report("ext_sharding", flags.text("json"));
     bench::banner("Extension: multi-device sharded serving",
                   "DESIGN.md 6k (>=1.8x goodput at 2 devices, >=3.2x "
@@ -177,10 +187,10 @@ main(int argc, char **argv)
 
     // Offered rate: one saturated Titan B delivers ~1.2M responses/s
     // on this mix, so 16M/s keeps even the 4-device arm well past
-    // saturation (and fills its per-shard backlogs quickly). The
-    // table's default --arrival-rate selects this bench's own.
-    const double arrival_rate = flags.real("arrival-rate");
-    const double rate = arrival_rate != 200e3 ? arrival_rate : 16e6;
+    // saturation (and fills its per-shard backlogs quickly) unless
+    // --arrival-rate is given.
+    const double rate =
+        flags.given("arrival-rate") ? flags.real("arrival-rate") : 16e6;
     const uint64_t shard_seed = flags.u64("shard-seed");
     const double window_sec = quick ? 6e-3 : 14e-3;
 

@@ -112,12 +112,12 @@ int
 main(int argc, char **argv)
 {
     const Flags flags = bench::parseArgs(
-        argc, argv, {&bench::kFaultFlags, &bench::kOverlapFlags});
+        argc, argv, {&bench::kFaultNoRecoveryFlags, &bench::kOverlapFlags});
     bench::Reporter report("ext_timeout_tradeoff", flags.text("json"));
     bench::banner("Extension: cohort timeout vs latency/efficiency",
                   "Sections 1/3.1 (delay requests to form cohorts)");
 
-    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kFaultNoRecoveryFlags);
     report.config(flags, bench::kOverlapFlags);
 
     for (const auto &[label, prefix, rate, requests] :

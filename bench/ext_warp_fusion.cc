@@ -159,6 +159,14 @@ constexpr Flag kQuickFlagRows[] = {
 };
 constexpr FlagGroup kQuickFlags{"run length", kQuickFlagRows};
 
+// The fusion bit differs per arm; only the fused arm's tuning rows of
+// the fusion family are read.
+constexpr auto kFusionRows =
+    pickFlags(bench::kFusionFlagRows,
+              {"fusion-threshold", "fusion-max-cohorts", "fingerprint-alpha",
+               "fingerprint-lanes"});
+constexpr FlagGroup kFusionFlags{"fused arm tuning", kFusionRows};
+
 } // namespace
 
 int
@@ -166,8 +174,8 @@ main(int argc, char **argv)
 {
     const Flags flags = bench::parseArgs(
         argc, argv,
-        {&kQuickFlags, &bench::kFaultFlags, &bench::kArrivalFlags,
-         &bench::kFusionFlags});
+        {&kQuickFlags, &bench::kFaultNoRecoveryFlags,
+         &bench::kFlashSweepFlags, &kFusionFlags});
     bench::Reporter report("ext_warp_fusion", flags.text("json"));
     bench::banner(
         "Extension: sub-warp packing / cross-type cohort fusion",
@@ -176,13 +184,13 @@ main(int argc, char **argv)
 
     const bool quick = flags.on("quick");
 
-    report.config(flags, bench::kFaultFlags);
+    report.config(flags, bench::kFaultNoRecoveryFlags);
 
     // Operating points: the §6i flash shape at a rate where cohorts of
     // most types are partial when the 1 ms formation timeout fires.
-    // The table's default --arrival-rate selects this bench's own.
-    const double arrival_rate = flags.real("arrival-rate");
-    const double base_rate = arrival_rate != 200e3 ? arrival_rate : 150e3;
+    // Without --arrival-rate this bench uses its own.
+    const double base_rate =
+        flags.given("arrival-rate") ? flags.real("arrival-rate") : 150e3;
     const uint64_t seed = flags.u64("arrival-seed");
     const double flash_mult = flags.real("flash-mult");
     const uint64_t n_low = quick ? 3000 : 10000;

@@ -40,9 +40,9 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    bench::applyFaults(flags, opts);
+    bench::applyFaults(flags, b, opts);
     report.config(flags, bench::kFaultFlags);
-    bench::applyOverlap(flags, opts);
+    bench::applyOverlap(flags, b);
     report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"request type", "resp KB / buffer KB",

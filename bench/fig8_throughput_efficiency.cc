@@ -53,13 +53,13 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    bench::applyFaults(flags, opts);
     report.config(flags, bench::kFaultFlags);
-    bench::applyOverlap(flags, opts);
     report.config(flags, bench::kOverlapFlags);
     std::vector<platform::TitanWorkloadResult> titan_results;
-    for (const auto &variant :
+    for (platform::TitanVariant variant :
          {platform::titanA(), platform::titanB(), platform::titanC()}) {
+        bench::applyFaults(flags, variant, opts);
+        bench::applyOverlap(flags, variant);
         platform::TitanWorkloadResult r =
             platform::evaluateTitan(variant, opts);
         points.push_back(Point{r.name, r.throughput, r.reqsPerJouleWall,

@@ -27,9 +27,9 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    bench::applyFaults(flags, opts);
+    bench::applyFaults(flags, a, opts);
     report.config(flags, bench::kFaultFlags);
-    bench::applyOverlap(flags, opts);
+    bench::applyOverlap(flags, a);
     report.config(flags, bench::kOverlapFlags);
 
     TableWriter table({"request type", "achieved KReqs/s",

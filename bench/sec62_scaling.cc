@@ -39,14 +39,16 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    bench::applyFaults(flags, opts);
     report.config(flags, bench::kFaultFlags);
-    bench::applyOverlap(flags, opts);
     report.config(flags, bench::kOverlapFlags);
-    platform::TitanWorkloadResult b =
-        platform::evaluateTitan(platform::titanB(), opts);
-    platform::TitanWorkloadResult c =
-        platform::evaluateTitan(platform::titanC(), opts);
+    platform::TitanVariant titan_b = platform::titanB();
+    platform::TitanVariant titan_c = platform::titanC();
+    for (platform::TitanVariant *v : {&titan_b, &titan_c}) {
+        bench::applyFaults(flags, *v, opts);
+        bench::applyOverlap(flags, *v);
+    }
+    platform::TitanWorkloadResult b = platform::evaluateTitan(titan_b, opts);
+    platform::TitanWorkloadResult c = platform::evaluateTitan(titan_c, opts);
 
     // Paper reference points: (cores, scaled W, headroom W, headroom %).
     struct Ref

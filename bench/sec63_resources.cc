@@ -50,17 +50,17 @@ main(int argc, char **argv)
     opts.cohorts = 10;
     opts.users = 2000;
     opts.laneSample = 128;
-    bench::applyFaults(flags, opts);
     report.config(flags, bench::kFaultFlags);
-    bench::applyOverlap(flags, opts);
     report.config(flags, bench::kOverlapFlags);
 
     TableWriter net({"platform", "KReqs/s", "network Gbps (paper)",
                      "with 80% HTML compression Gbps"});
     const double paper_gbps[3] = {67, 258, 517};
     int row = 0;
-    for (const auto &variant :
+    for (platform::TitanVariant variant :
          {platform::titanA(), platform::titanB(), platform::titanC()}) {
+        bench::applyFaults(flags, variant, opts);
+        bench::applyOverlap(flags, variant);
         platform::TitanWorkloadResult r =
             platform::evaluateTitan(variant, opts);
         const double gbps =

@@ -35,8 +35,8 @@ main(int argc, char **argv)
         opts.cohorts = std::max<uint32_t>(6, 32768 / size);
         opts.users = 2000;
         opts.laneSample = std::min<uint32_t>(size, 128);
-        bench::applyFaults(flags, opts);
-        bench::applyOverlap(flags, opts);
+        bench::applyFaults(flags, b, opts);
+        bench::applyOverlap(flags, b);
 
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::AccountSummary, opts);

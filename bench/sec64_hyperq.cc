@@ -36,8 +36,8 @@ main(int argc, char **argv)
         opts.cohorts = 24;
         opts.users = 2000;
         opts.laneSample = 128;
-        bench::applyFaults(flags, opts);
-        bench::applyOverlap(flags, opts);
+        bench::applyFaults(flags, b, opts);
+        bench::applyOverlap(flags, b);
         platform::TypeRunResult r = platform::runIsolatedType(
             b, specweb::RequestType::CheckDetailHtml, opts);
         table.addRow({std::to_string(queues),

@@ -84,13 +84,13 @@ main(int argc, char **argv)
     opts.cohorts = 12;
     opts.users = 2000;
     opts.laneSample = 128;
-    bench::applyFaults(flags, opts);
     report.config(flags, bench::kFaultFlags);
-    bench::applyOverlap(flags, opts);
     report.config(flags, bench::kOverlapFlags);
-    const platform::TitanVariant variants[] = {
+    platform::TitanVariant variants[] = {
         platform::titanA(), platform::titanB(), platform::titanC()};
     for (size_t v = 0; v < 3; ++v) {
+        bench::applyFaults(flags, variants[v], opts);
+        bench::applyOverlap(flags, variants[v]);
         platform::TitanWorkloadResult r =
             platform::evaluateTitan(variants[v], opts);
         addRow(r.name, r.idleWatts, r.wallWatts, r.dynamicWatts,

@@ -11,6 +11,7 @@
  * Usage: banking_server [clients] [pages-per-client] [cohort-size]
  */
 
+#include <algorithm>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -68,6 +69,13 @@ main(int argc, char **argv)
     config.cohortTimeout = des::kMillisecond;
     config.backendOnDevice = true; // Titan B style
     config.networkOverPcie = false;
+    // Each client (its own user) holds one session, and a user's
+    // sessions hash to a single bucket: size the bucket depth for the
+    // clients over the reachable buckets, with margin for hash skew, as
+    // runIsolatedType does for login runs.
+    const uint64_t sessions = static_cast<uint64_t>(num_clients);
+    config.sessionNodesPerBucket = static_cast<uint32_t>(
+        3 * sessions / std::min<uint64_t>(sessions, cohort_size) + 16);
     core::BankingService service(db);
     core::RhythmServer server(queue, device, service, config);
 

@@ -62,6 +62,47 @@ titanC()
     return v;
 }
 
+PowerDraw
+powerDraw(const TitanPowerModel &pm, const core::RhythmServer &server,
+          const simt::Device &device, double elapsed)
+{
+    const core::RhythmStats &stats = server.stats();
+    const core::RhythmConfig &cfg = server.config();
+    const simt::Device::Stats dstats = device.stats();
+    PowerDraw d;
+    d.deviceUtilization = device.kernelUtilization();
+    d.memoryUtilization =
+        elapsed > 0.0
+            ? static_cast<double>(dstats.kernelMemoryBytes) /
+                  (device.config().memBandwidthGBs *
+                   device.config().memoryEfficiency * 1e9 * elapsed)
+            : 0.0;
+    d.copyUtilization =
+        elapsed > 0.0
+            ? std::max(dstats.h2dBusySeconds, dstats.d2hBusySeconds) /
+                  elapsed
+            : 0.0;
+    d.hostBackendUtilization =
+        (!cfg.backendOnDevice && elapsed > 0.0)
+            ? static_cast<double>(stats.backendRequests) /
+                  cfg.hostBackendReqsPerSec / elapsed
+            : 0.0;
+    d.simdEfficiency =
+        stats.processIssueSlots > 0.0
+            ? stats.processLaneInstructions /
+                  (stats.processIssueSlots * cfg.warpModel.warpWidth)
+            : 0.0;
+    const double activity =
+        pm.computeWeight * d.deviceUtilization +
+        (1.0 - pm.computeWeight) * std::min(1.0, d.memoryUtilization);
+    d.dynamicWatts =
+        pm.devicePeakWatts *
+            (pm.deviceActiveFloor + (1.0 - pm.deviceActiveFloor) * activity) +
+        pm.pcieWatts * std::min(1.0, d.copyUtilization) +
+        pm.hostBackendWatts * std::min(1.0, d.hostBackendUtilization);
+    return d;
+}
+
 TypeRunResult
 runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
                 const IsolatedRunOptions &options)
@@ -88,26 +129,10 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
     if (options.profileCacheEntries > 0)
         cfg.traceTemplateCacheEntries = options.profileCacheEntries;
 
-    // Fault/robustness overlay (quiet by default: the healthy run's
-    // configuration and outputs are untouched).
-    if (options.retryBudget > 0)
-        cfg.backendRetryBudget = options.retryBudget;
-    if (options.watchdogTimeout > 0)
-        cfg.watchdogTimeout = options.watchdogTimeout;
-    simt::DeviceConfig device_cfg = variant.device;
-    if (options.pcieFrameCrc)
-        device_cfg.pcieCrcEnabled = true;
-    if (options.overlapPipeline)
-        cfg.overlapPipeline = true;
-    if (options.copyEngines > 0)
-        device_cfg.copyEngines = options.copyEngines;
-    if (options.copyChunkBytes > 0)
-        device_cfg.copyChunkBytes = options.copyChunkBytes;
-
     des::EventQueue queue;
     simt::ProfileCache profile_cache(
         std::max<size_t>(options.profileCacheEntries, 1));
-    simt::Device device(queue, device_cfg);
+    simt::Device device(queue, variant.device);
     if (options.profileCacheEntries > 0)
         device.engine().setProfileCache(&profile_cache);
     backend::BankDb db(options.users, options.seed);
@@ -184,29 +209,8 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
                       : 0.0;
     result.avgLatencyMs = stats.latencyMs.mean();
     result.p99LatencyMs = stats.latencyMs.percentile(99.0);
-    result.deviceUtilization = device.kernelUtilization();
-    result.memoryUtilization =
-        elapsed > 0.0
-            ? static_cast<double>(dstats.kernelMemoryBytes) /
-                  (variant.device.memBandwidthGBs *
-                   variant.device.memoryEfficiency * 1e9 * elapsed)
-            : 0.0;
-    result.copyUtilization =
-        elapsed > 0.0
-            ? std::max(dstats.h2dBusySeconds, dstats.d2hBusySeconds) /
-                  elapsed
-            : 0.0;
-    result.hostBackendUtilization =
-        (!cfg.backendOnDevice && elapsed > 0.0)
-            ? static_cast<double>(stats.backendRequests) /
-                  cfg.hostBackendReqsPerSec / elapsed
-            : 0.0;
-    result.simdEfficiency =
-        stats.processIssueSlots > 0.0
-            ? stats.processLaneInstructions /
-                  (stats.processIssueSlots *
-                   variant.server.warpModel.warpWidth)
-            : 0.0;
+    static_cast<PowerDraw &>(result) =
+        powerDraw(variant.power, server, device, elapsed);
     result.paddedLanes = stats.paddedLanes;
     result.pcieBytesPerRequest =
         result.requests
@@ -231,21 +235,12 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
         result.overlapFraction =
             dstats.overlapSeconds / dstats.copyBusySeconds;
 
-    const TitanPowerModel &pm = variant.power;
-    const double activity =
-        pm.computeWeight * result.deviceUtilization +
-        (1.0 - pm.computeWeight) * std::min(1.0, result.memoryUtilization);
-    result.dynamicWatts =
-        pm.devicePeakWatts *
-            (pm.deviceActiveFloor +
-             (1.0 - pm.deviceActiveFloor) * activity) +
-        pm.pcieWatts * std::min(1.0, result.copyUtilization) +
-        pm.hostBackendWatts * std::min(1.0, result.hostBackendUtilization);
     if (result.dynamicWatts > 0.0) {
         result.reqsPerJouleDynamic =
             result.throughput / result.dynamicWatts;
-        result.reqsPerJouleWall =
-            result.throughput / (pm.idleWatts + result.dynamicWatts);
+        result.reqsPerJouleWall = result.throughput /
+                                  (variant.power.idleWatts +
+                                   result.dynamicWatts);
     }
     return result;
 }

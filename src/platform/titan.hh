@@ -62,8 +62,24 @@ TitanVariant titanB();
 /** Titan C: Titan B + response-transpose offload. */
 TitanVariant titanC();
 
+/**
+ * Utilization and power of one finished run: the single power model
+ * behind runIsolatedType and rhythm_sim's report. Titan A's host-side
+ * backend draws hostBackendWatts in proportion to its load; with the
+ * backend on the device that term is zero.
+ */
+struct PowerDraw
+{
+    double deviceUtilization = 0.0;
+    double memoryUtilization = 0.0; //!< DRAM bandwidth utilization
+    double copyUtilization = 0.0;   //!< busiest PCIe direction
+    double hostBackendUtilization = 0.0;
+    double simdEfficiency = 0.0; //!< process-stage lanes per issue slot
+    double dynamicWatts = 0.0;
+};
+
 /** Result of one isolated request-type run. */
-struct TypeRunResult
+struct TypeRunResult : PowerDraw
 {
     specweb::RequestType type = specweb::RequestType::Login;
     uint64_t requests = 0;
@@ -71,15 +87,9 @@ struct TypeRunResult
     double throughput = 0.0;   //!< requests/second
     double avgLatencyMs = 0.0;
     double p99LatencyMs = 0.0;
-    double deviceUtilization = 0.0;
-    double memoryUtilization = 0.0; //!< DRAM bandwidth utilization
-    double copyUtilization = 0.0;   //!< busiest PCIe direction
-    double hostBackendUtilization = 0.0;
-    double simdEfficiency = 0.0;
     /** Idle tail lanes across all process-stage launches (the padding
      *  cohort fusion exists to reclaim; DESIGN.md 6j). */
     uint64_t paddedLanes = 0;
-    double dynamicWatts = 0.0;
     double reqsPerJouleDynamic = 0.0;
     double reqsPerJouleWall = 0.0;
     uint64_t pcieBytesPerRequest = 0;
@@ -114,8 +124,10 @@ struct IsolatedRunOptions
      */
     uint32_t profileCacheEntries = 0;
 
-    // ---- Fault / robustness overlay (all off by default, keeping the
-    // ---- healthy paper-exact run) ----------------------------------
+    // ---- Fault schedule and recovery layer (off by default, keeping
+    // ---- the healthy paper-exact run; the retry, deadline, shedding,
+    // ---- watchdog, CRC and overlap knobs are the variant's own
+    // ---- RhythmConfig/DeviceConfig fields) --------------------------
 
     /**
      * Fault schedule. When non-quiet, the run arms a fresh
@@ -124,12 +136,6 @@ struct IsolatedRunOptions
      * schedule.
      */
     fault::FaultConfig faults;
-    /** Overrides RhythmConfig::backendRetryBudget when non-zero. */
-    uint32_t retryBudget = 0;
-    /** Overrides RhythmConfig::watchdogTimeout when non-zero. */
-    des::Time watchdogTimeout = 0;
-    /** Turns on the PCIe frame-CRC/retransmit link model. */
-    bool pcieFrameCrc = false;
     /**
      * Attaches a write-ahead-journaled RecoverableBackend (with
      * session recovery) so backend mutations apply exactly once across
@@ -138,16 +144,12 @@ struct IsolatedRunOptions
     bool recovery = false;
     /** Journaled mutations per recovery checkpoint. */
     uint64_t checkpointInterval = 4096;
-
-    // ---- Transfer/compute overlap (DESIGN.md 6h) --------------------
-
-    /** Turns on RhythmConfig::overlapPipeline. */
-    bool overlapPipeline = false;
-    /** Overrides DeviceConfig::copyEngines when > 0. */
-    int copyEngines = 0;
-    /** Overrides DeviceConfig::copyChunkBytes when > 0. */
-    uint32_t copyChunkBytes = 0;
 };
+
+/** The power a server/device pair drew over @p elapsedSeconds. */
+PowerDraw powerDraw(const TitanPowerModel &power,
+                    const core::RhythmServer &server,
+                    const simt::Device &device, double elapsedSeconds);
 
 /**
  * Runs one request type in isolation on a variant and reports its

@@ -18,7 +18,11 @@
 #ifndef RHYTHM_UTIL_FLAGS_HH
 #define RHYTHM_UTIL_FLAGS_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <span>
 #include <string>
@@ -175,6 +179,39 @@ struct FlagGroup
      *  any of its flags was given. */
     bool (*recordGate)(const Flags &) = nullptr;
 };
+
+/**
+ * The rows of @p table named in @p names, in that order: a binary that
+ * reads only part of a shared family declares just those rows, so the
+ * rest are rejected as unknown instead of accepted and ignored. A name
+ * the table lacks fails the constant evaluation.
+ */
+template <size_t N>
+constexpr std::array<Flag, N>
+pickFlags(std::span<const Flag> table, const std::string_view (&names)[N])
+{
+    std::array<Flag, N> rows{};
+    for (size_t i = 0; i < N; ++i) {
+        const auto row = std::ranges::find(table, names[i], &Flag::name);
+        if (row == table.end())
+            throw "pickFlags: no such row";
+        rows[i] = *row;
+    }
+    return rows;
+}
+
+/** The rows of @p table except the @p names ones (each must exist). */
+template <size_t N, size_t K>
+constexpr std::array<Flag, N - K>
+omitFlags(const Flag (&table)[N], const std::string_view (&names)[K])
+{
+    std::array<Flag, N - K> rows{};
+    size_t kept = 0;
+    for (const Flag &row : table)
+        if (std::ranges::find(names, row.name) == std::end(names))
+            rows.at(kept++) = row; // throws when a name is missing
+    return rows;
+}
 
 /** Record gate for groups whose Always rows are recorded on every run. */
 inline bool

@@ -122,5 +122,57 @@ TEST(CliFlags, TableDefaultsAreTheConfigDefaults)
               core::FleetConfig{}.shardMapSeed);
 }
 
+TEST(CliFlags, IsolatedRunsTakeEveryFaultAndOverlapFlag)
+{
+    // An isolated-run bench overlays its flags onto the Titan variant
+    // through the same server/device overlays as a directly driven
+    // server, so no accepted flag is dropped on the way.
+    const FlagGroup *bench_groups[] = {&bench::kRunFlags,
+                                       &bench::kFaultFlags,
+                                       &bench::kOverlapFlags};
+    const Flags f = parseWith(
+        bench_groups,
+        {"--retry-budget=3", "--backoff-us=20", "--deadline-ms=0.5",
+         "--shed-backlog=7", "--shed-p99-ms=4", "--watchdog-ms=9",
+         "--pcie-crc", "--overlap=on", "--copy-engines=2",
+         "--copy-chunk-kb=64", "--recovery", "--checkpoint-interval=11",
+         "--backend-fail=0.01"});
+    platform::TitanVariant v = platform::titanB();
+    platform::IsolatedRunOptions opts;
+    bench::applyFaults(f, v, opts);
+    bench::applyOverlap(f, v);
+    EXPECT_EQ(v.server.backendRetryBudget, 3u);
+    EXPECT_EQ(v.server.retryBackoffBase, 20 * des::kMicrosecond);
+    EXPECT_EQ(v.server.requestDeadline, des::fromSeconds(0.5e-3));
+    EXPECT_EQ(v.server.shedBacklogLimit, 7u);
+    EXPECT_EQ(v.server.shedLatencySlo, 4 * des::kMillisecond);
+    EXPECT_EQ(v.server.watchdogTimeout, 9 * des::kMillisecond);
+    EXPECT_TRUE(v.server.overlapPipeline);
+    EXPECT_TRUE(v.device.pcieCrcEnabled);
+    EXPECT_EQ(v.device.copyEngines, 2);
+    EXPECT_EQ(v.device.copyChunkBytes, 64u * 1024);
+    EXPECT_TRUE(opts.recovery);
+    EXPECT_EQ(opts.checkpointInterval, 11u);
+    EXPECT_FALSE(opts.faults.allQuiet());
+
+    // End to end: a deadline and a one-request backlog limit change an
+    // isolated run (they used to be parsed and then ignored).
+    platform::IsolatedRunOptions small;
+    small.cohorts = 2;
+    small.users = 400;
+    small.laneSample = 64;
+    auto run = [&](std::vector<const char *> args) {
+        platform::TitanVariant b = platform::titanB();
+        bench::applyFaults(parseWith(bench_groups, args), b, small);
+        return platform::runIsolatedType(
+            b, specweb::RequestType::CheckDetailHtml, small);
+    };
+    const platform::TypeRunResult healthy = run({});
+    const platform::TypeRunResult degraded =
+        run({"--deadline-ms=0.001", "--shed-backlog=1"});
+    EXPECT_NE(degraded.throughput, healthy.throughput);
+    EXPECT_NE(degraded.avgLatencyMs, healthy.avgLatencyMs);
+}
+
 } // namespace
 } // namespace rhythm

@@ -279,12 +279,12 @@ namespace {
 
 /** One small isolated banking run; restores serial mode afterwards. */
 platform::TypeRunResult
-runType(specweb::RequestType type, const platform::IsolatedRunOptions &opts,
-        unsigned threads)
+runType(specweb::RequestType type, const platform::TitanVariant &variant,
+        const platform::IsolatedRunOptions &opts, unsigned threads)
 {
     util::setSimThreads(threads);
     platform::TypeRunResult r =
-        platform::runIsolatedType(platform::titanA(), type, opts);
+        platform::runIsolatedType(variant, type, opts);
     util::setSimThreads(1);
     return r;
 }
@@ -299,13 +299,13 @@ smallRun()
     return opts;
 }
 
-platform::IsolatedRunOptions
-overlapped(platform::IsolatedRunOptions opts)
+platform::TitanVariant
+overlapped(platform::TitanVariant variant)
 {
-    opts.overlapPipeline = true;
-    opts.copyEngines = 4;
-    opts.copyChunkBytes = 262144;
-    return opts;
+    variant.server.overlapPipeline = true;
+    variant.device.copyEngines = 4;
+    variant.device.copyChunkBytes = 262144;
+    return variant;
 }
 
 TEST(OverlapServer, ResponsesIdenticalAcrossModesAndThreads)
@@ -315,13 +315,14 @@ TEST(OverlapServer, ResponsesIdenticalAcrossModesAndThreads)
     // must match the serial pipeline at any thread count.
     for (specweb::RequestType type :
          {specweb::RequestType::PostPayee, specweb::RequestType::Logout}) {
-        const platform::TypeRunResult off = runType(type, smallRun(), 1);
+        const platform::TitanVariant a = platform::titanA();
+        const platform::TypeRunResult off = runType(type, a, smallRun(), 1);
         ASSERT_GT(off.requests, 0u);
         for (unsigned threads : {1u, 8u}) {
             const platform::TypeRunResult off_t =
-                runType(type, smallRun(), threads);
+                runType(type, a, smallRun(), threads);
             const platform::TypeRunResult on_t =
-                runType(type, overlapped(smallRun()), threads);
+                runType(type, overlapped(a), smallRun(), threads);
             EXPECT_EQ(off_t.requests, off.requests);
             EXPECT_EQ(on_t.requests, off.requests);
             EXPECT_EQ(off_t.responseBytesPerRequest,
@@ -341,18 +342,22 @@ TEST(OverlapServer, HedgeDuringOverlappedDownloadsKeepsResponses)
     // while chunked downloads of neighbouring cohorts are in flight.
     // Exactly-once delivery must hold — same requests, same response
     // bytes as the fault-free serial run — with only timing changed.
+    const platform::TitanVariant a = platform::titanA();
+    platform::TitanVariant watched = a;
+    watched.server.watchdogTimeout = des::fromSeconds(2e-3);
     platform::IsolatedRunOptions faulty = smallRun();
     faulty.faults.at(fault::Site::KernelHang).probability = 0.5;
     faulty.faults.at(fault::Site::KernelHang).meanDelay =
         des::fromSeconds(5e-3);
-    faulty.watchdogTimeout = des::fromSeconds(2e-3);
     faulty.recovery = true;
 
     const specweb::RequestType type = specweb::RequestType::PostPayee;
-    const platform::TypeRunResult healthy = runType(type, smallRun(), 1);
-    const platform::TypeRunResult off = runType(type, faulty, 1);
-    const platform::TypeRunResult on = runType(type, overlapped(faulty), 1);
-    const platform::TypeRunResult on8 = runType(type, overlapped(faulty), 8);
+    const platform::TypeRunResult healthy = runType(type, a, smallRun(), 1);
+    const platform::TypeRunResult off = runType(type, watched, faulty, 1);
+    const platform::TypeRunResult on =
+        runType(type, overlapped(watched), faulty, 1);
+    const platform::TypeRunResult on8 =
+        runType(type, overlapped(watched), faulty, 8);
 
     EXPECT_EQ(off.requests, healthy.requests);
     EXPECT_EQ(on.requests, healthy.requests);
@@ -370,14 +375,17 @@ TEST(OverlapServer, CrcCorruptionUnderOverlapKeepsResponses)
     // Frame CRC with injected corruption on the chunked path: every
     // corrupted frame is retransmitted, so responses never change —
     // only wire bytes and timing do.
+    const platform::TitanVariant a = platform::titanA();
+    platform::TitanVariant framed = a;
+    framed.device.pcieCrcEnabled = true;
     platform::IsolatedRunOptions faulty = smallRun();
-    faulty.pcieFrameCrc = true;
     faulty.faults.at(fault::Site::PcieCorrupt).probability = 0.05;
 
     const specweb::RequestType type = specweb::RequestType::PostPayee;
-    const platform::TypeRunResult healthy = runType(type, smallRun(), 1);
-    const platform::TypeRunResult off = runType(type, faulty, 1);
-    const platform::TypeRunResult on = runType(type, overlapped(faulty), 1);
+    const platform::TypeRunResult healthy = runType(type, a, smallRun(), 1);
+    const platform::TypeRunResult off = runType(type, framed, faulty, 1);
+    const platform::TypeRunResult on =
+        runType(type, overlapped(framed), faulty, 1);
 
     EXPECT_EQ(off.requests, healthy.requests);
     EXPECT_EQ(on.requests, healthy.requests);

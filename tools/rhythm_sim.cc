@@ -102,30 +102,8 @@ report(const core::RhythmServer &server, const simt::Device &device,
         elapsed > 0 ? static_cast<double>(stats.responsesCompleted) /
                           elapsed
                     : 0.0;
-    const double util = device.kernelUtilization();
-    const double copy_util =
-        elapsed > 0
-            ? std::max(dstats.h2dBusySeconds, dstats.d2hBusySeconds) /
-                  elapsed
-            : 0.0;
-    const double mem_util =
-        elapsed > 0 ? static_cast<double>(dstats.kernelMemoryBytes) /
-                          (device.config().memBandwidthGBs *
-                           device.config().memoryEfficiency * 1e9 *
-                           elapsed)
-                    : 0.0;
-    const double activity =
-        pm.computeWeight * util +
-        (1.0 - pm.computeWeight) * std::min(1.0, mem_util);
-    const double dynamic_watts =
-        pm.devicePeakWatts *
-            (pm.deviceActiveFloor + (1 - pm.deviceActiveFloor) * activity) +
-        pm.pcieWatts * std::min(1.0, copy_util);
-    const double simd_eff =
-        stats.processIssueSlots > 0
-            ? stats.processLaneInstructions /
-                  (stats.processIssueSlots * 32.0)
-            : 0.0;
+    const platform::PowerDraw draw =
+        platform::powerDraw(pm, server, device, elapsed);
 
     TableWriter t({"metric", "value"});
     t.addRow({"requests completed",
@@ -145,11 +123,14 @@ report(const core::RhythmServer &server, const simt::Device &device,
                   " ms pipeline"});
     t.addRow({"cohorts launched", withCommas(stats.cohortsLaunched)});
     t.addRow({"cohort timeouts", withCommas(stats.cohortTimeouts)});
-    t.addRow({"device utilization", formatDouble(util, 3)});
+    t.addRow({"device utilization",
+              formatDouble(draw.deviceUtilization, 3)});
     t.addRow({"DRAM bandwidth utilization",
-              formatDouble(std::min(1.0, mem_util), 3)});
-    t.addRow({"PCIe engine utilization", formatDouble(copy_util, 3)});
-    t.addRow({"process SIMD efficiency", formatDouble(simd_eff, 3)});
+              formatDouble(std::min(1.0, draw.memoryUtilization), 3)});
+    t.addRow({"PCIe engine utilization",
+              formatDouble(draw.copyUtilization, 3)});
+    t.addRow({"process SIMD efficiency",
+              formatDouble(draw.simdEfficiency, 3)});
     t.addRow({"PCIe bytes",
               humanBytes(static_cast<double>(dstats.bytesToDevice +
                                              dstats.bytesToHost))});
@@ -158,10 +139,10 @@ report(const core::RhythmServer &server, const simt::Device &device,
     t.addRow({"host fallback requests",
               withCommas(stats.hostFallbackRequests)});
     t.addRow({"est. dynamic power",
-              formatDouble(dynamic_watts, 1) + " W"});
+              formatDouble(draw.dynamicWatts, 1) + " W"});
     t.addRow({"est. reqs/Joule (wall)",
-              formatDouble(throughput / (pm.idleWatts + dynamic_watts),
-                           0)});
+              formatDouble(
+                  throughput / (pm.idleWatts + draw.dynamicWatts), 0)});
     t.addRow({"device memory pools",
               humanBytes(static_cast<double>(
                   server.memoryFootprintBytes()))});
@@ -215,19 +196,13 @@ report(const core::RhythmServer &server, const simt::Device &device,
     // --fusion=on — default runs stay byte-identical to the seed
     // output.
     if (scfg.fusionEnabled) {
-        const double simd_eff =
-            stats.processIssueSlots > 0
-                ? stats.processLaneInstructions /
-                      (stats.processIssueSlots *
-                       scfg.warpModel.warpWidth)
-                : 0.0;
         TableWriter ft({"cohort fusion", "value"});
         ft.addRow({"fused launches", withCommas(stats.fusedLaunches)});
         ft.addRow({"cohorts fused", withCommas(stats.fusedCohorts)});
         ft.addRow({"warps saved", withCommas(stats.fusionSavedWarps)});
         ft.addRow({"padded lanes", withCommas(stats.paddedLanes)});
         ft.addRow({"process SIMD efficiency",
-                   formatDouble(simd_eff, 4)});
+                   formatDouble(draw.simdEfficiency, 4)});
         ft.printAscii(std::cout);
         if (rep) {
             rep->metric("fusion.fused_launches",
@@ -238,7 +213,7 @@ report(const core::RhythmServer &server, const simt::Device &device,
                         static_cast<double>(stats.fusionSavedWarps));
             rep->metric("fusion.padded_lanes",
                         static_cast<double>(stats.paddedLanes));
-            rep->metric("fusion.simd_efficiency", simd_eff);
+            rep->metric("fusion.simd_efficiency", draw.simdEfficiency);
         }
     }
 
@@ -266,15 +241,15 @@ report(const core::RhythmServer &server, const simt::Device &device,
         rep->metric("latency.mean_ms", stats.latencyMs.mean());
         rep->metric("latency.p50_ms", stats.latencyMs.median());
         rep->metric("latency.p99_ms", stats.latencyMs.percentile(99));
-        rep->metric("device_utilization", util);
-        rep->metric("pcie_utilization", copy_util);
-        rep->metric("simd_efficiency", simd_eff);
+        rep->metric("device_utilization", draw.deviceUtilization);
+        rep->metric("pcie_utilization", draw.copyUtilization);
+        rep->metric("simd_efficiency", draw.simdEfficiency);
         rep->metric("pcie_bytes",
                     static_cast<double>(dstats.bytesToDevice +
                                         dstats.bytesToHost));
-        rep->metric("dynamic_watts", dynamic_watts);
+        rep->metric("dynamic_watts", draw.dynamicWatts);
         rep->metric("reqs_per_joule_wall",
-                    throughput / (pm.idleWatts + dynamic_watts));
+                    throughput / (pm.idleWatts + draw.dynamicWatts));
         // DES determinism fingerprints: the final clock, the event
         // count and the dispatch-order hash must be identical for any
         // --sim-threads value (the equivalence tests byte-compare the

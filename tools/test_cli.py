@@ -8,7 +8,8 @@ text is the list of flags to probe:
   test_cli.py boundary BUILD_DIR
       For every flag a binary declares, non-numeric, nan, -1, 1e30 and
       3x values, plus one unknown and one repeated flag, must each exit
-      2 with `error:` on stderr -- never 0, never a signal. Each example
+      2 with `error:` on stderr -- never 0, never a signal. So must the
+      shared-family flags a bench does not read (UNDECLARED). Each example
       program's positional integers get the same bad values, each
       position's out-of-range values, and one surplus argument.
   test_cli.py edges BUILD_DIR
@@ -51,6 +52,24 @@ EXAMPLES = {
                           ["1", "1", "65537"]]),
     "platform_explorer": (1, [["14"]]),
     "similarity_study": (1, [["0"], ["1001"]]),
+}
+
+# Shared-family flags these benches never read, so do not declare: each
+# must be rejected as unknown (exit 2, error:), not accepted and ignored.
+SHAPE = ["--arrival=flash", "--flash-start-ms=1", "--flash-dur-ms=1",
+         "--diurnal-period-ms=10", "--diurnal-trough=0.5"]
+NO_RECOVERY = ["--recovery", "--checkpoint-interval=10"]
+UNDECLARED = {
+    "ext_sharding": SHAPE + ["--devices=2", "--balance=least",
+                             "--cross-shard=0.1", "--flash-mult=2"],
+    "ext_overlap": ["--overlap=on"],
+    "ext_adaptive_batching": SHAPE + NO_RECOVERY + [
+        "--batching=adaptive", "--deadline-default-ms=5",
+        "--deadline-ms-transfer=3"],
+    "ext_warp_fusion": SHAPE + NO_RECOVERY + ["--fusion=on"],
+    "ext_chat_workload": NO_RECOVERY,
+    "ext_search_workload": NO_RECOVERY,
+    "ext_timeout_tradeoff": NO_RECOVERY,
 }
 
 HELP_LINE = re.compile(
@@ -159,6 +178,9 @@ def boundary(build):
                       [binary, "--no-such-flag=1"]))
         cases.append((f"{short} repeated flag",
                       [binary, "--sim-threads=1", "--sim-threads=1"]))
+    for name, args in UNDECLARED.items():
+        binary = os.path.join(build, "bench", name)
+        cases += [(f"{name} {arg}", [binary, arg]) for arg in args]
     for name, (positions, out_of_range) in EXAMPLES.items():
         binary = os.path.join(build, "examples", name)
         args = [["1"] * p + [value] for p in range(positions)
