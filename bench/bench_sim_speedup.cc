@@ -4,12 +4,14 @@
  * bench measures the *simulator's* wall-clock, not simulated time. It
  * runs the fig8-shaped banking steady state (Titan B, account summary —
  * the dominant Table 2 type — with the cycling session pool of the
- * isolation methodology) four ways: profile cache off/on at 1 and 8
- * sim threads. The cached runs must produce byte-identical simulated
- * outputs (asserted on the DES order hash, clock, event and response
- * counts and the latency sum) while re-simulating only the warps whose
- * normalized content was never seen — the session pool cycles after two
- * cohorts, so every later launch is served from the cache.
+ * isolation methodology) four ways: at 1 and 8 sim threads, through
+ * the engine's own profile cache and through the uncached reference
+ * loop (Engine::setProfileCache(nullptr)). The cached runs must produce
+ * byte-identical simulated outputs (asserted on the DES order hash,
+ * clock, event and response counts and the latency sum) while
+ * re-simulating only the warps whose normalized content was never seen
+ * — the session pool cycles after two cohorts, so every later launch is
+ * served from the cache.
  *
  * Deterministic cache accounting (hits/misses/evictions and the
  * identical-output flags) goes in "metrics" and is gate-compared
@@ -43,7 +45,6 @@ using namespace rhythm;
 constexpr uint64_t kUsers = 2000;
 constexpr uint64_t kSeed = 42;
 constexpr uint32_t kLaneSample = 128;
-constexpr size_t kCacheEntries = 4096;
 
 struct RunResult
 {
@@ -57,7 +58,7 @@ struct RunResult
     double latencySumMs = 0.0;
     //! Cache accounting (zero for cache-off runs).
     simt::ProfileCache::Stats cache;
-    size_t cacheSize = 0;
+    size_t cacheCapacity = 0;
 };
 
 /** True when the simulated outputs of two runs are bit-identical. */
@@ -78,8 +79,6 @@ runOnce(bool cache_on, unsigned threads, uint32_t cohorts)
     platform::TitanVariant variant = platform::titanB();
     core::RhythmConfig cfg = variant.server;
     cfg.laneSample = kLaneSample;
-    if (cache_on)
-        cfg.traceTemplateCacheEntries = kCacheEntries;
     const uint64_t total =
         static_cast<uint64_t>(cohorts) * cfg.cohortSize;
 
@@ -89,10 +88,9 @@ runOnce(bool cache_on, unsigned threads, uint32_t cohorts)
     backend::BankDb db(kUsers, kSeed);
     specweb::WorkloadGenerator gen(db, kSeed * 977 + 13);
     des::EventQueue queue;
-    simt::ProfileCache cache(kCacheEntries);
     simt::Device device(queue, variant.device);
-    if (cache_on)
-        device.engine().setProfileCache(&cache);
+    if (!cache_on)
+        device.engine().setProfileCache(nullptr);
     core::BankingService service(db);
     core::RhythmServer server(queue, device, service, cfg);
     auto sessions = server.sessions().populate(
@@ -126,8 +124,10 @@ runOnce(bool cache_on, unsigned threads, uint32_t cohorts)
     r.engineWarps = device.engine().warps();
     r.latencySumMs = server.stats().latencyMs.mean() *
                      static_cast<double>(server.stats().latencyMs.count());
-    r.cache = cache.stats();
-    r.cacheSize = cache.size();
+    if (const simt::ProfileCache *cache = device.engine().profileCache()) {
+        r.cache = cache->stats();
+        r.cacheCapacity = cache->capacity();
+    }
     util::setSimThreads(1);
     return r;
 }
@@ -192,7 +192,7 @@ main(int argc, char **argv)
     report.config("cohorts", static_cast<double>(cohorts));
     report.config("lane_sample", static_cast<double>(kLaneSample));
     report.config("users", static_cast<double>(kUsers));
-    report.config("cache_entries", static_cast<double>(kCacheEntries));
+    report.config("cache_entries", static_cast<double>(on1.cacheCapacity));
     // Deterministic: exact-compared by the perf gate.
     report.metric("identical_outputs", all_identical ? 1.0 : 0.0);
     report.metric("responses", static_cast<double>(off1.responses));

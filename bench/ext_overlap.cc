@@ -27,9 +27,14 @@
 namespace {
 
 // The overlapped arm always pipelines the parse (--overlap would be
-// ignored), so only the copy-engine tuning rows are declared.
-constexpr auto kTuningRows = rhythm::pickFlags(
-    rhythm::bench::kOverlapFlagRows, {"copy-engines", "copy-chunk-kb"});
+// ignored), so only the copy-engine tuning rows are declared, with the
+// defaults the shared rows take under --overlap=on.
+constexpr rhythm::Flag kTuningRows[] = {
+    rhythm::Flag::u64("copy-engines", 1, 64, "4",
+                      "modeled DMA copy engines per PCIe direction"),
+    rhythm::Flag::u64("copy-chunk-kb", 0, 1 << 20, "256",
+                      "DMA chunk size, KiB (0 = 256)"),
+};
 constexpr rhythm::FlagGroup kTuningFlags{"overlapped-arm tuning",
                                          kTuningRows};
 
@@ -70,9 +75,7 @@ main(int argc, char **argv)
     platform::TitanVariant overlapped = serial;
     overlapped.server.overlapPipeline = true;
     overlapped.device.copyEngines =
-        flags.given("copy-engines")
-            ? static_cast<int>(flags.u64("copy-engines"))
-            : bench::kDefaultCopyEngines;
+        static_cast<int>(flags.u64("copy-engines"));
     overlapped.device.copyChunkBytes =
         flags.u64("copy-chunk-kb") > 0
             ? static_cast<uint32_t>(flags.u64("copy-chunk-kb") * 1024)

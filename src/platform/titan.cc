@@ -126,15 +126,8 @@ runIsolatedType(const TitanVariant &variant, specweb::RequestType type,
             16);
     }
 
-    if (options.profileCacheEntries > 0)
-        cfg.traceTemplateCacheEntries = options.profileCacheEntries;
-
     des::EventQueue queue;
-    simt::ProfileCache profile_cache(
-        std::max<size_t>(options.profileCacheEntries, 1));
     simt::Device device(queue, variant.device);
-    if (options.profileCacheEntries > 0)
-        device.engine().setProfileCache(&profile_cache);
     backend::BankDb db(options.users, options.seed);
     core::BankingService service(db);
     core::RhythmServer server(queue, device, service, cfg);

@@ -115,14 +115,6 @@ struct IsolatedRunOptions
     /** Lanes executed per cohort (0 = all; see RhythmConfig). */
     uint32_t laneSample = 128;
     uint64_t seed = 42;
-    /**
-     * Warp profile-cache capacity in entries (0 = off). When set, the
-     * run attaches a simt::ProfileCache to the device engine and turns
-     * on the parser trace-template cache with the same bound; results
-     * are byte-identical either way (the engine's memoization
-     * contract), only host wall-clock changes.
-     */
-    uint32_t profileCacheEntries = 0;
 
     // ---- Fault schedule and recovery layer (off by default, keeping
     // ---- the healthy paper-exact run; the retry, deadline, shedding,

@@ -373,6 +373,25 @@ transposeRegionLoads(simt::ThreadTrace &trace, uint64_t region_base,
 }
 
 void
+materializeTemplate(const simt::ThreadTrace &tmpl, simt::ThreadTrace &out,
+                    uint64_t region_base, uint32_t lane,
+                    uint32_t slot_bytes, uint32_t cohort, bool transpose)
+{
+    out = tmpl;
+    const uint64_t lane_base =
+        region_base + static_cast<uint64_t>(lane) * slot_bytes;
+    for (simt::MemOp &op : out.memOps) {
+        if (transpose && !op.isStore && op.addr < slot_bytes) {
+            op.addr = transposedRegionAddr(region_base, lane, op.addr,
+                                           cohort);
+            op.stride = cohort * 4;
+        } else {
+            op.addr += lane_base;
+        }
+    }
+}
+
+void
 untransposeRegionLoads(simt::ThreadTrace &trace, uint64_t region_base,
                        uint32_t lane, uint32_t slot_bytes, uint32_t cohort)
 {

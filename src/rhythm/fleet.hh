@@ -24,7 +24,7 @@
  * (events scheduled from a shard's callbacks inherit the stream), and
  * the EventQueue merges stream fronts canonically — lowest timestamp,
  * then lowest stream id — so a fleet run is byte-identical across
- * --sim-threads and profile-cache settings, exactly like one device.
+ * --sim-threads, exactly like one device.
  *
  * Cross-shard transfers are two-phase: XferOut debits the payer on the
  * payer's home shard, then the coordinator schedules XferIn on the

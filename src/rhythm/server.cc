@@ -15,6 +15,10 @@ namespace {
 /** Simulated device address of the raw request buffer region. */
 constexpr uint64_t kRequestRegionBase = 0x9000'0000;
 
+/** Bound on the parser trace templates a server keeps (distinct raw
+ *  requests); later distinct requests are recorded but not kept. */
+constexpr size_t kParserTemplates = 4096;
+
 /** 503 for requests rejected by the load shedder. */
 constexpr const char *kShedResponse =
     "HTTP/1.1 503 Service Unavailable\r\n"
@@ -502,60 +506,29 @@ RhythmServer::parseBatch(std::unique_ptr<ReaderBatch> batch, uint64_t seq)
     // touches only its own entry/trace slot, so the loop fans out over
     // the sim pool; results are index-addressed and order-free.
     //
-    // Template cache (traceTemplateCacheEntries > 0): the parser's
-    // trace is an affine function of the lane's buffer base address,
-    // so a raw request seen before replays its recorded template with
-    // the base patched in — byte-identical to a fresh recording. The
-    // shared map is consulted serially before the fork (hit pointers
-    // are stable: the map is node-based and never erased from) and
-    // grown serially after the join, in canonical lane order.
-    //
-    // The request-buffer transpose is a single pass everywhere: the
-    // no-cache path records through a TransposingRecorder (loads land
-    // in device-staging layout as they are recorded), and the cache
-    // paths record templates at base 0 natively and materialize each
-    // lane's trace with one fused rebase+transpose loop. All paths use
-    // transposedRegionAddr(), so the result is bit-identical to the
-    // old record → rebase → post-pass-transpose chain.
+    // The parser's trace is an affine function of the lane's buffer
+    // base address, so a sampled lane replays the template recorded at
+    // base 0 for its exact raw request (recording one on a miss) and
+    // materializes it at its slot, the request-buffer transpose folded
+    // into the same pass (materializeTemplate). The shared map is
+    // consulted serially before the fork (hit pointers are stable: the
+    // map is node-based and never erased from) and grown serially after
+    // the join, in canonical lane order.
     auto parsed = std::make_shared<std::vector<CohortEntry>>();
     parsed->resize(n);
     std::vector<simt::ThreadTrace> traces = tracePool_.acquire();
     traces.resize(sample);
-    const uint32_t tmpl_cap = config_.traceTemplateCacheEntries;
-    std::vector<const simt::ThreadTrace *> hit_tmpl;
-    std::vector<simt::ThreadTrace> fresh_tmpl;
-    if (tmpl_cap > 0) {
-        hit_tmpl.assign(sample, nullptr);
-        fresh_tmpl.resize(sample);
-        for (uint32_t i = 0; i < sample; ++i) {
-            auto it = parserTemplates_.find(batch->entries[i].raw);
-            if (it != parserTemplates_.end())
-                hit_tmpl[i] = &it->second;
-        }
+    std::vector<const simt::ThreadTrace *> hit_tmpl(sample, nullptr);
+    std::vector<simt::ThreadTrace> fresh_tmpl(sample);
+    for (uint32_t i = 0; i < sample; ++i) {
+        auto it = parserTemplates_.find(batch->entries[i].raw);
+        if (it != parserTemplates_.end())
+            hit_tmpl[i] = &it->second;
     }
-    // Builds a lane's trace from a base-0 template: rebase every op to
-    // the lane's slot, mapping in-slot loads straight into the
-    // transposed layout when active (one pass over the ops).
-    auto materialize = [this, sample](const simt::ThreadTrace &tmpl,
-                                      simt::ThreadTrace &out, uint32_t i,
-                                      uint64_t vaddr) {
-        out = tmpl;
-        const uint32_t slot_bytes = config_.requestSlotBytes;
-        const bool transpose = config_.transposeBuffers;
-        for (simt::MemOp &op : out.memOps) {
-            if (transpose && !op.isStore && op.addr < slot_bytes) {
-                op.addr = transposedRegionAddr(kRequestRegionBase, i,
-                                               op.addr, sample);
-                op.stride = sample * 4;
-            } else {
-                op.addr += vaddr;
-            }
-        }
-    };
     util::simPool().parallelRanges(
         n, 64,
         [this, &batch, &parsed, &traces, &hit_tmpl, &fresh_tmpl,
-         &materialize, tmpl_cap, sample](size_t begin, size_t end) {
+         sample](size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) {
                 RawEntry &raw = batch->entries[i];
                 CohortEntry &entry = (*parsed)[i];
@@ -567,47 +540,36 @@ RhythmServer::parseBatch(std::unique_ptr<ReaderBatch> batch, uint64_t seq)
                     kRequestRegionBase +
                     static_cast<uint64_t>(i) * config_.requestSlotBytes;
                 bool ok;
-                if (i < sample && tmpl_cap > 0 && hit_tmpl[i]) {
+                if (i < sample && hit_tmpl[i]) {
                     // Replay: parse without recording (dispatch needs
-                    // the parsed request), then materialize the
-                    // template into this lane's trace slot.
+                    // the parsed request).
                     ok = http::parseRequest(entry.raw, vaddr, gNull,
                                             entry.request);
-                    materialize(*hit_tmpl[i], traces[i], lane, vaddr);
-                } else if (i < sample && tmpl_cap > 0) {
-                    // Record the template at base 0 natively (its
-                    // stored form), then materialize like a hit; the
-                    // template is published serially after the join.
+                } else if (i < sample) {
+                    // Record the template at base 0 (its stored form);
+                    // it is published serially after the join.
                     simt::RecordingTracer rec(fresh_tmpl[i]);
                     ok = http::parseRequest(entry.raw, 0, rec,
-                                            entry.request);
-                    materialize(fresh_tmpl[i], traces[i], lane, vaddr);
-                } else if (i < sample && config_.transposeBuffers) {
-                    TransposingRecorder rec(traces[i], kRequestRegionBase,
-                                            lane,
-                                            config_.requestSlotBytes,
-                                            sample);
-                    ok = http::parseRequest(entry.raw, vaddr, rec,
-                                            entry.request);
-                } else if (i < sample) {
-                    simt::RecordingTracer rec(traces[i]);
-                    ok = http::parseRequest(entry.raw, vaddr, rec,
                                             entry.request);
                 } else {
                     ok = http::parseRequest(entry.raw, vaddr, gNull,
                                             entry.request);
                 }
+                if (i < sample)
+                    materializeTemplate(
+                        hit_tmpl[i] ? *hit_tmpl[i] : fresh_tmpl[i],
+                        traces[i], kRequestRegionBase, lane,
+                        config_.requestSlotBytes, sample,
+                        config_.transposeBuffers);
                 if (!ok)
                     entry.request.path.clear(); // dispatch will 400 it
             }
         });
-    if (tmpl_cap > 0) {
-        for (uint32_t i = 0; i < sample; ++i) {
-            if (hit_tmpl[i] || parserTemplates_.size() >= tmpl_cap)
-                continue;
-            parserTemplates_.try_emplace((*parsed)[i].raw,
-                                         std::move(fresh_tmpl[i]));
-        }
+    for (uint32_t i = 0; i < sample; ++i) {
+        if (hit_tmpl[i] || parserTemplates_.size() >= kParserTemplates)
+            continue;
+        parserTemplates_.try_emplace((*parsed)[i].raw,
+                                     std::move(fresh_tmpl[i]));
     }
 
     std::vector<const simt::ThreadTrace *> ptrs;
@@ -1492,7 +1454,7 @@ RhythmServer::buildCommands(std::span<const std::shared_ptr<CohortRun>> runs,
     // same-type runs and only pays divergence where the types genuinely
     // split — which is what the similarity admission test predicted was
     // cheap. A lone cohort carries no lane tags and keeps its type's
-    // kernel name, so its profile-cache key is the single-type one.
+    // kernel name, so its profile cache key is the single-type one.
     std::vector<uint32_t> lane_tags;
     std::string name_prefix;
     if (fused) {

@@ -88,17 +88,6 @@ struct RhythmConfig
      * requests that do not fit the data-parallel model, Section 3.1).
      */
     double hostFallbackInstsPerSec = 20e9;
-    /**
-     * Parser trace-template cache capacity in entries (0 = off, the
-     * default). When on, the parser records each distinct raw request
-     * once at a canonical base address and replays later occurrences
-     * by patching the per-request address base — the parser's trace is
-     * an affine function of its buffer address, so the replayed trace
-     * is byte-identical to a fresh recording (DESIGN.md Section 6e).
-     * Purely a host wall-clock optimization; simulated results do not
-     * change.
-     */
-    uint32_t traceTemplateCacheEntries = 0;
     /** Warp model for kernel profiling. */
     simt::WarpModel warpModel;
 
@@ -651,8 +640,8 @@ class RhythmServer
         bufferPool_;
     /**
      * Parser trace templates keyed by the exact raw request, recorded
-     * at base address 0 and rebased per lane on replay. Bounded by
-     * RhythmConfig::traceTemplateCacheEntries (empty when 0).
+     * at base address 0 and materialized per lane on replay (DESIGN.md
+     * Section 6e). Bounded by a constant in server.cc.
      */
     std::unordered_map<std::string, simt::ThreadTrace> parserTemplates_;
 

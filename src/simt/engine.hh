@@ -25,15 +25,16 @@
  * the event queue from a worker. The DES schedule is therefore
  * unaffected by the thread count; EventQueue::orderHash() audits this.
  *
- * Warp-equivalence memoization: with a ProfileCache attached
- * (setProfileCache), the engine fingerprints every warp, simulates one
+ * Warp-equivalence memoization: every engine owns a ProfileCache and
+ * profiles through it — it fingerprints every warp, simulates one
  * representative per equivalence class, replicates its WarpStats to
  * the other members, and serves repeated classes straight from the
  * cross-launch LRU. Because equal fingerprints imply bit-equal
  * WarpStats (see profile_cache.hh), every downstream result is
- * byte-identical to the uncached path; classification and cache
- * mutation happen serially in canonical warp order, so hit/miss
- * sequences are --sim-threads-invariant too.
+ * byte-identical to the uncached simulateWarp loop, which stays as the
+ * reference that tests select through setProfileCache(nullptr);
+ * classification and cache mutation happen serially in canonical warp
+ * order, so hit/miss sequences are --sim-threads-invariant too.
  */
 
 #ifndef RHYTHM_SIMT_ENGINE_HH
@@ -91,6 +92,9 @@ class Engine
      */
     explicit Engine(int num_sms, util::ThreadPool *pool = nullptr);
 
+    Engine(const Engine &) = delete;
+    Engine &operator=(const Engine &) = delete;
+
     /** SMs this engine accounts across. */
     int numSms() const { return numSms_; }
 
@@ -121,21 +125,23 @@ class Engine
     void resetCounters();
 
     /**
-     * Attaches a warp profile cache (not owned; nullptr detaches, the
-     * default). The cache may be shared by several engines and
-     * outlives every profile call that uses it.
+     * Test seam: profiles through @p cache (not owned; it outlives
+     * every profile call that uses it) instead of the engine's own, or
+     * through the uncached reference loop when null.
      */
     void setProfileCache(ProfileCache *cache) { cache_ = cache; }
 
-    /** The attached profile cache, or null. */
-    ProfileCache *profileCache() const { return cache_; }
+    /** The cache profile calls use: the engine's own unless a test
+     *  attached another; null selects the uncached reference loop. */
+    const ProfileCache *profileCache() const { return cache_; }
 
   private:
     util::ThreadPool &pool() const;
 
     int numSms_;
     util::ThreadPool *pool_;
-    ProfileCache *cache_ = nullptr;
+    ProfileCache ownCache_;
+    ProfileCache *cache_ = &ownCache_;
     std::vector<SmCounters> sms_;
     uint64_t launches_ = 0;
     uint64_t warps_ = 0;

@@ -25,7 +25,7 @@ namespace rhythm::util {
  * xor-multiply structure of FNV — distinct from Mix64's add-and-
  * finalize chain — at one multiply per word instead of eight, which
  * matters because fingerprinting runs over every warp's full trace on
- * the profile-cache hot path.
+ * the profile cache hot path.
  */
 class Fnv1a64
 {

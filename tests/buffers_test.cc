@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the cohort buffer layout transforms (paper Section 4.3.2):
- * the transpose/untranspose round-trip on lane traces and the analytic
- * coalescing win of the 4-byte interleaved layout.
+ * the transpose/untranspose round-trip on lane traces, parser template
+ * replay against fresh recording, and the analytic coalescing win of
+ * the 4-byte interleaved layout.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +12,13 @@
 #include <string_view>
 #include <vector>
 
+#include "backend/bankdb.hh"
+#include "chat/service.hh"
+#include "http/parser.hh"
 #include "rhythm/buffers.hh"
+#include "search/service.hh"
 #include "simt/warp.hh"
+#include "specweb/workload.hh"
 
 namespace rhythm::core {
 namespace {
@@ -41,6 +47,19 @@ expectSameOps(const ThreadTrace &a, const ThreadTrace &b)
         EXPECT_EQ(x.width, y.width) << "op " << i;
         EXPECT_EQ(x.space, y.space) << "op " << i;
         EXPECT_EQ(x.isStore, y.isStore) << "op " << i;
+    }
+}
+
+void
+expectSameTrace(const ThreadTrace &a, const ThreadTrace &b)
+{
+    expectSameOps(a, b);
+    ASSERT_EQ(a.blocks.size(), b.blocks.size());
+    for (size_t i = 0; i < a.blocks.size(); ++i) {
+        EXPECT_EQ(a.blocks[i].blockId, b.blocks[i].blockId);
+        EXPECT_EQ(a.blocks[i].instructions, b.blocks[i].instructions);
+        EXPECT_EQ(a.blocks[i].memBegin, b.blocks[i].memBegin);
+        EXPECT_EQ(a.blocks[i].memCount, b.blocks[i].memCount);
     }
 }
 
@@ -204,8 +223,7 @@ TEST(TransposingRecorder, MatchesPostPassTransposeBitForBit)
 {
     // The one-pass recorder must produce exactly the trace that
     // recording row-major and then running the post-pass rewrite
-    // produces — the parser path switched to the recorder, and the
-    // template-cache equivalence argument rests on this identity.
+    // produces: it is the reference for parser template replay.
     const uint32_t lane = 13;
     const uint64_t lane_base =
         kRegionBase + static_cast<uint64_t>(lane) * kSlotBytes;
@@ -236,14 +254,64 @@ TEST(TransposingRecorder, MatchesPostPassTransposeBitForBit)
         record(rec);
     }
 
-    expectSameOps(direct, post);
-    ASSERT_EQ(direct.blocks.size(), post.blocks.size());
-    for (size_t i = 0; i < direct.blocks.size(); ++i) {
-        EXPECT_EQ(direct.blocks[i].blockId, post.blocks[i].blockId);
-        EXPECT_EQ(direct.blocks[i].instructions,
-                  post.blocks[i].instructions);
-        EXPECT_EQ(direct.blocks[i].memBegin, post.blocks[i].memBegin);
-        EXPECT_EQ(direct.blocks[i].memCount, post.blocks[i].memCount);
+    expectSameTrace(direct, post);
+}
+
+/** A raw request of every banking type, a chat page and a search query. */
+std::vector<std::string>
+parserInputs()
+{
+    backend::BankDb db(64, 7);
+    specweb::WorkloadGenerator gen(db, 11);
+    std::vector<std::string> raws;
+    for (size_t i = 0; i < specweb::kNumRequestTypes; ++i)
+        raws.push_back(
+            gen.generate(specweb::typeTable()[i].type, gen.sampleUser(), 1)
+                .raw);
+    chat::RoomStore store(8, 4, 7);
+    chat::PageType page;
+    raws.push_back(chat::ChatGenerator(store, 5).next(page));
+    search::Corpus corpus(50, 4096, 7);
+    raws.push_back(search::QueryGenerator(corpus, 3).next().raw);
+    return raws;
+}
+
+TEST(MaterializeTemplate, MatchesFreshRecordingAtTheSlot)
+{
+    // A parser template recorded at base 0 and materialized at a lane's
+    // slot must equal a fresh recording of that lane: a RecordingTracer
+    // at the slot address with the transpose off, the one-pass
+    // TransposingRecorder with it on. The cohort widths are a server's
+    // sampled lanes at --lane-sample=128 and, at 0, a 4096-request
+    // cohort.
+    constexpr uint64_t kBase = 0x9000'0000;
+    constexpr uint32_t kSlot = 1024;
+    http::Request request;
+    for (const std::string &raw : parserInputs()) {
+        ThreadTrace tmpl;
+        RecordingTracer tmpl_rec(tmpl);
+        ASSERT_TRUE(http::parseRequest(raw, 0, tmpl_rec, request)) << raw;
+        ASSERT_FALSE(tmpl.memOps.empty());
+        for (const uint32_t cohort : {128u, 4096u}) {
+            for (const uint32_t lane : {0u, 77u, cohort - 1}) {
+                SCOPED_TRACE(raw.substr(0, raw.find('\r')) + " lane " +
+                             std::to_string(lane) + "/" +
+                             std::to_string(cohort));
+                const uint64_t vaddr = kBase + uint64_t{lane} * kSlot;
+                ThreadTrace fresh, transposed, out;
+                RecordingTracer fresh_rec(fresh);
+                http::parseRequest(raw, vaddr, fresh_rec, request);
+                TransposingRecorder transposing(transposed, kBase, lane,
+                                                kSlot, cohort);
+                http::parseRequest(raw, vaddr, transposing, request);
+                materializeTemplate(tmpl, out, kBase, lane, kSlot, cohort,
+                                    false);
+                expectSameTrace(out, fresh);
+                materializeTemplate(tmpl, out, kBase, lane, kSlot, cohort,
+                                    true);
+                expectSameTrace(out, transposed);
+            }
+        }
     }
 }
 

@@ -72,6 +72,20 @@ TEST(CliFlags, SimAndBenchBuildTheSameFaultConfig)
     EXPECT_TRUE(c.allQuiet());
 }
 
+TEST(CliFlags, RemovedCacheFlagsFailClosed)
+{
+    // Memoization is always on, so its old switches are unknown flags:
+    // rhythm_sim rejects them before anything runs (exit 2, error:).
+    for (const char *arg :
+         {"--profile-cache=on", "--profile-cache-entries=8"}) {
+        const char *argv[] = {"rhythm_sim", arg};
+        Flags flags;
+        EXPECT_FALSE(flags.parse(2, argv, sim::kSimGroups)) << arg;
+        EXPECT_EQ(flags.error().rfind("unknown flag: --profile-cache", 0), 0u)
+            << flags.error();
+    }
+}
+
 TEST(CliFlags, TableDefaultsAreTheConfigDefaults)
 {
     // Naming one flag of each family makes its apply() overlay every

@@ -64,9 +64,32 @@ struct Fingerprint
     std::string trace;
     //! Order-insensitive response-byte digest (fusion runs only).
     uint64_t responseDigestSum = 0;
-    //! Profile-cache accounting (zero when no cache was attached).
+    //! Profile-cache accounting (zero for the uncached reference).
     simt::ProfileCache::Stats cacheStats;
 };
+
+/** The warp profile cache a run's engines profile through. */
+enum class CacheArm : uint8_t {
+    Own,       //!< Each engine's own cache: the production path.
+    Reference, //!< None: the uncached simulateWarp loop.
+    Tiny,      //!< Capacity 1: an eviction on nearly every insertion.
+};
+
+/** Points @p engine at @p arm's cache; @p tiny backs the Tiny arm. */
+void
+useCache(simt::Engine &engine, CacheArm arm, simt::ProfileCache &tiny)
+{
+    if (arm != CacheArm::Own)
+        engine.setProfileCache(arm == CacheArm::Tiny ? &tiny : nullptr);
+}
+
+/** The engine's cache accounting; zero for the uncached reference. */
+simt::ProfileCache::Stats
+cacheStats(const simt::Engine &engine)
+{
+    const simt::ProfileCache *cache = engine.profileCache();
+    return cache ? cache->stats() : simt::ProfileCache::Stats{};
+}
 
 void
 expectIdentical(const Fingerprint &serial, const Fingerprint &parallel,
@@ -106,8 +129,7 @@ enum class AuthMode : uint8_t {
  * One rhythm_sim-shaped banking run (mixed browsing steady state) with
  * observability recording, so metrics and trace spans are captured.
  *
- * @param cache_entries When nonzero, a ProfileCache of that capacity is
- *        attached to the engine (the --profile-cache=on path). The
+ * @param cache The profile cache the engine profiles through. The
  *        fingerprint's metrics exclude the cache's own "profile_cache."
  *        meta-counters — those describe the cache, not the simulation,
  *        and are asserted separately via Fingerprint::cacheStats.
@@ -118,7 +140,7 @@ enum class AuthMode : uint8_t {
  *        must stay canonical across thread counts.
  */
 Fingerprint
-runBanking(unsigned threads, size_t cache_entries = 0,
+runBanking(unsigned threads, CacheArm cache = CacheArm::Own,
            AuthMode auth = AuthMode::None)
 {
     util::setSimThreads(threads);
@@ -129,9 +151,6 @@ runBanking(unsigned threads, size_t cache_entries = 0,
     cfg.cohortSize = 512;
     cfg.cohortContexts = 8;
     cfg.laneSample = 64;
-    if (cache_entries > 0)
-        cfg.traceTemplateCacheEntries =
-            static_cast<uint32_t>(cache_entries);
     const uint64_t total = 4 * cfg.cohortSize;
     const uint64_t seed = 42;
     const uint64_t users = 400;
@@ -144,10 +163,9 @@ runBanking(unsigned threads, size_t cache_entries = 0,
 
     des::EventQueue queue;
     obs::global().enable(queue);
-    simt::ProfileCache cache(std::max<size_t>(cache_entries, 1));
+    simt::ProfileCache tiny(1);
     simt::Device device(queue, variant.device);
-    if (cache_entries > 0)
-        device.engine().setProfileCache(&cache);
+    useCache(device.engine(), cache, tiny);
     backend::BankDb db(users, seed);
     core::BankingService service(db);
     core::RhythmServer server(queue, device, service, cfg);
@@ -208,7 +226,7 @@ runBanking(unsigned threads, size_t cache_entries = 0,
     std::ostringstream trace;
     obs::global().tracer().writeChromeTrace(trace);
     fp.trace = trace.str();
-    fp.cacheStats = cache.stats();
+    fp.cacheStats = cacheStats(device.engine());
 
     obs::global().disable();
     obs::global().reset();
@@ -223,12 +241,12 @@ runBanking(unsigned threads, size_t cache_entries = 0,
  * shard's backend journaled. The canonical stream merge (lowest front
  * timestamp, then lowest stream id) makes the whole run — dispatch
  * order, responses, per-device metrics, trace — byte-identical across
- * thread counts and profile-cache settings, exactly like one device.
+ * thread counts and profile caches, exactly like one device.
  * The fingerprint's metrics use the unfiltered flatten, so the
  * per-device "dev<i>." namespaces are compared too.
  */
 Fingerprint
-runFleet(unsigned threads, uint32_t devices, size_t cache_entries = 0)
+runFleet(unsigned threads, uint32_t devices, CacheArm cache = CacheArm::Own)
 {
     util::setSimThreads(threads);
     obs::global().reset();
@@ -239,9 +257,6 @@ runFleet(unsigned threads, uint32_t devices, size_t cache_entries = 0)
     cfg.cohortContexts = 8;
     cfg.laneSample = 64;
     cfg.cohortTimeout = des::fromSeconds(0.5e-3);
-    if (cache_entries > 0)
-        cfg.traceTemplateCacheEntries =
-            static_cast<uint32_t>(cache_entries);
     const uint64_t total = 3000;
     const uint64_t users = 400;
     const uint64_t seed = 42;
@@ -252,12 +267,9 @@ runFleet(unsigned threads, uint32_t devices, size_t cache_entries = 0)
     fc.devices = devices;
     fc.recovery = true;
     core::Fleet fleet(queue, variant.device, cfg, fc, users, seed);
-    std::vector<std::unique_ptr<simt::ProfileCache>> caches;
-    for (uint32_t i = 0; i < devices && cache_entries > 0; ++i) {
-        caches.push_back(
-            std::make_unique<simt::ProfileCache>(cache_entries));
-        fleet.device(i).engine().setProfileCache(caches.back().get());
-    }
+    simt::ProfileCache tiny(1);
+    for (uint32_t i = 0; i < devices; ++i)
+        useCache(fleet.device(i).engine(), cache, tiny);
     backend::BankDb db(users, seed);
     specweb::WorkloadGenerator gen(db, seed * 31 + 7);
     uint64_t digest_sum = 0;
@@ -421,7 +433,7 @@ runVariant(const platform::TitanVariant &variant, unsigned threads)
  *        thread counts even while cohorts hang and hedge.
  */
 Fingerprint
-runAdaptiveFlash(unsigned threads, size_t cache_entries = 0,
+runAdaptiveFlash(unsigned threads, CacheArm cache = CacheArm::Own,
                  bool with_faults = false)
 {
     util::setSimThreads(threads);
@@ -435,9 +447,6 @@ runAdaptiveFlash(unsigned threads, size_t cache_entries = 0,
     cfg.cohortTimeout = 4 * des::kMillisecond;
     cfg.adaptiveBatching = true;
     cfg.defaultDeadline = 8 * des::kMillisecond;
-    if (cache_entries > 0)
-        cfg.traceTemplateCacheEntries =
-            static_cast<uint32_t>(cache_entries);
     if (with_faults)
         cfg.watchdogTimeout = 5 * des::kMillisecond;
     const uint64_t total = 4 * cfg.cohortSize;
@@ -445,10 +454,9 @@ runAdaptiveFlash(unsigned threads, size_t cache_entries = 0,
 
     des::EventQueue queue;
     obs::global().enable(queue);
-    simt::ProfileCache cache(std::max<size_t>(cache_entries, 1));
+    simt::ProfileCache tiny(1);
     simt::Device device(queue, variant.device);
-    if (cache_entries > 0)
-        device.engine().setProfileCache(&cache);
+    useCache(device.engine(), cache, tiny);
     backend::BankDb db(users, 42);
     core::BankingService service(db);
     cfg.typeDeadlines.assign(service.numTypes(), 0);
@@ -520,7 +528,7 @@ runAdaptiveFlash(unsigned threads, size_t cache_entries = 0,
     std::ostringstream trace;
     obs::global().tracer().writeChromeTrace(trace);
     fp.trace = trace.str();
-    fp.cacheStats = cache.stats();
+    fp.cacheStats = cacheStats(device.engine());
 
     obs::global().disable();
     obs::global().reset();
@@ -573,7 +581,7 @@ responseHash(uint64_t client_id, std::string_view response)
  *        pipeline state.
  */
 Fingerprint
-runFusionFlash(unsigned threads, bool fusion, size_t cache_entries = 0,
+runFusionFlash(unsigned threads, bool fusion, CacheArm cache = CacheArm::Own,
                bool burst = true)
 {
     util::setSimThreads(threads);
@@ -592,18 +600,14 @@ runFusionFlash(unsigned threads, bool fusion, size_t cache_entries = 0,
     // that the chopping is identical (the CI digest gate's shape).
     cfg.cohortTimeout = 2 * des::kMillisecond;
     cfg.fusionEnabled = fusion;
-    if (cache_entries > 0)
-        cfg.traceTemplateCacheEntries =
-            static_cast<uint32_t>(cache_entries);
     const uint64_t total = 16 * cfg.cohortSize;
     const uint64_t users = 400;
 
     des::EventQueue queue;
     obs::global().enable(queue);
-    simt::ProfileCache cache(std::max<size_t>(cache_entries, 1));
+    simt::ProfileCache tiny(1);
     simt::Device device(queue, variant.device);
-    if (cache_entries > 0)
-        device.engine().setProfileCache(&cache);
+    useCache(device.engine(), cache, tiny);
     backend::BankDb db(users, 42);
     core::BankingService service(db);
     core::RhythmServer server(queue, device, service, cfg);
@@ -670,7 +674,7 @@ runFusionFlash(unsigned threads, bool fusion, size_t cache_entries = 0,
     std::ostringstream trace;
     obs::global().tracer().writeChromeTrace(trace);
     fp.trace = trace.str();
-    fp.cacheStats = cache.stats();
+    fp.cacheStats = cacheStats(device.engine());
 
     obs::global().disable();
     obs::global().reset();
@@ -688,7 +692,7 @@ runFusionFlash(unsigned threads, bool fusion, size_t cache_entries = 0,
  */
 Fingerprint
 runService(core::Service &service, const std::function<std::string()> &next,
-           unsigned threads, size_t cache_entries)
+           unsigned threads, CacheArm cache)
 {
     util::setSimThreads(threads);
     obs::global().reset();
@@ -698,17 +702,13 @@ runService(core::Service &service, const std::function<std::string()> &next,
     cfg.cohortSize = 256;
     cfg.cohortContexts = 8;
     cfg.laneSample = 128;
-    if (cache_entries > 0)
-        cfg.traceTemplateCacheEntries =
-            static_cast<uint32_t>(cache_entries);
     const uint64_t total = 6 * cfg.cohortSize;
 
     des::EventQueue queue;
     obs::global().enable(queue);
-    simt::ProfileCache cache(std::max<size_t>(cache_entries, 1));
+    simt::ProfileCache tiny(1);
     simt::Device device(queue, variant.device);
-    if (cache_entries > 0)
-        device.engine().setProfileCache(&cache);
+    useCache(device.engine(), cache, tiny);
     core::RhythmServer server(queue, device, service, cfg);
 
     Fingerprint fp;
@@ -739,7 +739,7 @@ runService(core::Service &service, const std::function<std::string()> &next,
     std::ostringstream trace;
     obs::global().tracer().writeChromeTrace(trace);
     fp.trace = trace.str();
-    fp.cacheStats = cache.stats();
+    fp.cacheStats = cacheStats(device.engine());
 
     obs::global().disable();
     obs::global().reset();
@@ -749,7 +749,7 @@ runService(core::Service &service, const std::function<std::string()> &next,
 
 /** The Chat mix (posts, polls, history, room list) through runService. */
 Fingerprint
-runChat(unsigned threads, size_t cache_entries = 0)
+runChat(unsigned threads, CacheArm cache)
 {
     chat::RoomStore store(64, 40, 42);
     chat::ChatGenerator gen(store, 42 * 13 + 5);
@@ -760,20 +760,19 @@ runChat(unsigned threads, size_t cache_entries = 0)
             chat::PageType type;
             return gen.next(type);
         },
-        threads, cache_entries);
+        threads, cache);
 }
 
 /** The Search mix (home, results, document, suggest) through runService. */
 Fingerprint
-runSearch(unsigned threads, size_t cache_entries = 0)
+runSearch(unsigned threads, CacheArm cache)
 {
     search::Corpus corpus(1000, 4096, 42);
     search::InvertedIndex index(corpus);
     search::QueryGenerator gen(corpus, 42 * 17 + 3);
     search::SearchService service(index);
     return runService(
-        service, [&gen]() { return gen.next().raw; }, threads,
-        cache_entries);
+        service, [&gen]() { return gen.next().raw; }, threads, cache);
 }
 
 /** Looks up one flattened metric; -1 when absent. */
@@ -790,14 +789,17 @@ constexpr unsigned kThreadCounts[] = {2, 4, 8};
 
 TEST(ParallelEquivalenceTest, BankingServerRunIsByteIdentical)
 {
-    const Fingerprint serial = runBanking(1);
+    // The uncached reference loop, which every cache test compares
+    // against, is itself thread-count-invariant.
+    const Fingerprint serial = runBanking(1, CacheArm::Reference);
     // Sanity: the run did real work through the engine.
     ASSERT_GT(serial.responses, 0u);
     ASSERT_GT(serial.engineWarps, 0u);
     ASSERT_FALSE(serial.metrics.empty());
     ASSERT_FALSE(serial.trace.empty());
     for (unsigned threads : kThreadCounts)
-        expectIdentical(serial, runBanking(threads), threads);
+        expectIdentical(serial, runBanking(threads, CacheArm::Reference),
+                        threads);
 }
 
 void
@@ -815,12 +817,12 @@ expectSameCacheStats(const simt::ProfileCache::Stats &a,
 
 TEST(ParallelEquivalenceTest, ProfileCacheOnMatchesCacheOffSerial)
 {
-    // The determinism contract of DESIGN.md Section 6e: attaching the
-    // profile cache changes host wall-clock only. Clock, order hash,
-    // metrics and Chrome trace must be byte-identical to the uncached
-    // serial run.
-    const Fingerprint off = runBanking(1);
-    const Fingerprint on = runBanking(1, 4096);
+    // The determinism contract of DESIGN.md Section 6e: the profile
+    // cache changes host wall-clock only. Clock, order hash, metrics
+    // and Chrome trace must be byte-identical to the uncached serial
+    // reference run.
+    const Fingerprint off = runBanking(1, CacheArm::Reference);
+    const Fingerprint on = runBanking(1);
     expectIdentical(off, on, 1);
     // The cache did real work (every simulated warp is inserted).
     EXPECT_GT(on.cacheStats.misses, 0u);
@@ -830,10 +832,10 @@ TEST(ParallelEquivalenceTest, ProfileCacheOnMatchesCacheOffSerial)
 
 TEST(ParallelEquivalenceTest, ProfileCacheOnIsByteIdenticalAcrossThreads)
 {
-    const Fingerprint serial = runBanking(1, 4096);
+    const Fingerprint serial = runBanking(1);
     ASSERT_GT(serial.responses, 0u);
     for (unsigned threads : kThreadCounts) {
-        const Fingerprint parallel = runBanking(threads, 4096);
+        const Fingerprint parallel = runBanking(threads);
         expectIdentical(serial, parallel, threads);
         // Lookups happen on the DES thread in canonical warp order, so
         // even the cache's own accounting is thread-count-invariant.
@@ -846,12 +848,12 @@ TEST(ParallelEquivalenceTest, TinyCacheForcingEvictionsStaysIdentical)
 {
     // Capacity 1 forces an eviction on nearly every insertion; LRU
     // churn must not leak into simulated outputs at any thread count.
-    const Fingerprint off = runBanking(1);
-    const Fingerprint tiny = runBanking(1, 1);
+    const Fingerprint off = runBanking(1, CacheArm::Reference);
+    const Fingerprint tiny = runBanking(1, CacheArm::Tiny);
     expectIdentical(off, tiny, 1);
     EXPECT_GT(tiny.cacheStats.evictions, 0u);
     for (unsigned threads : kThreadCounts) {
-        const Fingerprint parallel = runBanking(threads, 1);
+        const Fingerprint parallel = runBanking(threads, CacheArm::Tiny);
         expectIdentical(off, parallel, threads);
         expectSameCacheStats(tiny.cacheStats, parallel.cacheStats,
                              threads);
@@ -863,12 +865,14 @@ TEST(ParallelEquivalenceTest, LoginRunIsByteIdentical)
     // Login creates a session per request: every cohort ends in the
     // session-store serial stage. The fork/join of lane-parallel stages
     // around that serial stage must leave all outputs canonical.
-    const Fingerprint serial = runBanking(1, 0, AuthMode::LoginOnly);
+    const Fingerprint serial =
+        runBanking(1, CacheArm::Own, AuthMode::LoginOnly);
     ASSERT_GT(serial.responses, 0u);
     ASSERT_EQ(serial.errors, 0u);
     for (unsigned threads : kThreadCounts)
         expectIdentical(serial,
-                        runBanking(threads, 0, AuthMode::LoginOnly),
+                        runBanking(threads, CacheArm::Own,
+                                   AuthMode::LoginOnly),
                         threads);
 }
 
@@ -876,11 +880,13 @@ TEST(ParallelEquivalenceTest, LogoutRunIsByteIdentical)
 {
     // Logout destroys a (distinct) session per request — the inverse
     // serial-stage mutation of the session store.
-    const Fingerprint serial = runBanking(1, 0, AuthMode::LogoutOnly);
+    const Fingerprint serial =
+        runBanking(1, CacheArm::Own, AuthMode::LogoutOnly);
     ASSERT_GT(serial.responses, 0u);
     for (unsigned threads : kThreadCounts)
         expectIdentical(serial,
-                        runBanking(threads, 0, AuthMode::LogoutOnly),
+                        runBanking(threads, CacheArm::Own,
+                                   AuthMode::LogoutOnly),
                         threads);
 }
 
@@ -888,33 +894,35 @@ TEST(ParallelEquivalenceTest, MixedAuthBrowsingRunIsByteIdentical)
 {
     // Browsing cohorts (pure lane-parallel stages) interleaved with
     // Login and Logout cohorts (serial session-store stages), with the
-    // profile cache both off and on: the full stage-major / serial
-    // stage mix of DESIGN.md Section 6f at every thread count.
-    const Fingerprint serial = runBanking(1, 0, AuthMode::Mixed);
+    // uncached reference and the profile cache: the full stage-major /
+    // serial stage mix of DESIGN.md Section 6f at every thread count.
+    const Fingerprint serial =
+        runBanking(1, CacheArm::Reference, AuthMode::Mixed);
     ASSERT_GT(serial.responses, 0u);
     for (unsigned threads : kThreadCounts)
-        expectIdentical(serial, runBanking(threads, 0, AuthMode::Mixed),
-                        threads);
+        expectIdentical(
+            serial, runBanking(threads, CacheArm::Reference, AuthMode::Mixed),
+            threads);
 
-    const Fingerprint cached = runBanking(1, 4096, AuthMode::Mixed);
+    const Fingerprint cached = runBanking(1, CacheArm::Own, AuthMode::Mixed);
     expectIdentical(serial, cached, 1);
     EXPECT_GT(cached.cacheStats.insertions, 0u);
     for (unsigned threads : kThreadCounts) {
         const Fingerprint parallel =
-            runBanking(threads, 4096, AuthMode::Mixed);
+            runBanking(threads, CacheArm::Own, AuthMode::Mixed);
         expectIdentical(serial, parallel, threads);
         expectSameCacheStats(cached.cacheStats, parallel.cacheStats,
                              threads);
     }
 }
 
-/** Chat/search runs at 1/2/8 sim threads, profile cache off and on,
- *  all byte-identical to the serial cache-off run. */
+/** Chat/search runs at 1/2/8 sim threads, uncached and cached, all
+ *  byte-identical to the serial uncached reference run. */
 void
 expectServiceRunsIdentical(
-    const std::function<Fingerprint(unsigned, size_t)> &run)
+    const std::function<Fingerprint(unsigned, CacheArm)> &run)
 {
-    const Fingerprint serial = run(1, 0);
+    const Fingerprint serial = run(1, CacheArm::Reference);
     // Sanity: real responses, and more than one warp per launch to
     // split across pool workers.
     ASSERT_GT(serial.responses, 0u);
@@ -922,24 +930,21 @@ expectServiceRunsIdentical(
     ASSERT_GT(serial.engineWarps, serial.engineLaunches);
     for (unsigned threads : {1u, 2u, 8u}) {
         if (threads > 1)
-            expectIdentical(serial, run(threads, 0), threads);
+            expectIdentical(serial, run(threads, CacheArm::Reference),
+                            threads);
         SCOPED_TRACE("profile cache on");
-        expectIdentical(serial, run(threads, 4096), threads);
+        expectIdentical(serial, run(threads, CacheArm::Own), threads);
     }
 }
 
 TEST(ParallelEquivalenceTest, ChatRunIsByteIdentical)
 {
-    expectServiceRunsIdentical([](unsigned threads, size_t cache) {
-        return runChat(threads, cache);
-    });
+    expectServiceRunsIdentical(runChat);
 }
 
 TEST(ParallelEquivalenceTest, SearchRunIsByteIdentical)
 {
-    expectServiceRunsIdentical([](unsigned threads, size_t cache) {
-        return runSearch(threads, cache);
-    });
+    expectServiceRunsIdentical(runSearch);
 }
 
 TEST(ParallelEquivalenceTest, AdaptiveFlashRunIsByteIdentical)
@@ -948,26 +953,28 @@ TEST(ParallelEquivalenceTest, AdaptiveFlashRunIsByteIdentical)
     // scheduling decision flows through completion-fed EWMAs, so this
     // run is maximally sensitive to any non-canonical completion
     // order in the parallel engine.
-    const Fingerprint serial = runAdaptiveFlash(1);
+    const Fingerprint serial = runAdaptiveFlash(1, CacheArm::Reference);
     ASSERT_GT(serial.responses, 0u);
     // The adaptive machinery must actually have engaged, or the matrix
     // proves nothing.
     EXPECT_GT(metricValue(serial, "adaptive.early_dispatches"), 0.0);
     for (unsigned threads : kThreadCounts)
-        expectIdentical(serial, runAdaptiveFlash(threads), threads);
+        expectIdentical(serial,
+                        runAdaptiveFlash(threads, CacheArm::Reference),
+                        threads);
 }
 
 TEST(ParallelEquivalenceTest, AdaptiveFlashWithCacheIsByteIdentical)
 {
     // The profile cache must stay wall-clock-only under the adaptive
-    // policy too: cache-on output identical to cache-off, at every
-    // thread count, with thread-invariant cache accounting.
-    const Fingerprint off = runAdaptiveFlash(1);
-    const Fingerprint cached = runAdaptiveFlash(1, 4096);
+    // policy too: cached output identical to the uncached reference, at
+    // every thread count, with thread-invariant cache accounting.
+    const Fingerprint off = runAdaptiveFlash(1, CacheArm::Reference);
+    const Fingerprint cached = runAdaptiveFlash(1);
     expectIdentical(off, cached, 1);
     EXPECT_GT(cached.cacheStats.insertions, 0u);
     for (unsigned threads : kThreadCounts) {
-        const Fingerprint parallel = runAdaptiveFlash(threads, 4096);
+        const Fingerprint parallel = runAdaptiveFlash(threads);
         expectIdentical(off, parallel, threads);
         expectSameCacheStats(cached.cacheStats, parallel.cacheStats,
                              threads);
@@ -981,11 +988,12 @@ TEST(ParallelEquivalenceTest, AdaptiveFlashUnderFaultsIsByteIdentical)
     // clients vanish mid-pipeline, yet the adaptive cost model — and
     // with it every dispatch decision — must stay byte-identical
     // across thread counts.
-    const Fingerprint serial = runAdaptiveFlash(1, 0, true);
+    const Fingerprint serial = runAdaptiveFlash(1, CacheArm::Own, true);
     ASSERT_GT(serial.responses, 0u);
     EXPECT_GT(serial.kernelHangs, 0u);
     for (unsigned threads : kThreadCounts)
-        expectIdentical(serial, runAdaptiveFlash(threads, 0, true),
+        expectIdentical(serial,
+                        runAdaptiveFlash(threads, CacheArm::Own, true),
                         threads);
 }
 
@@ -995,13 +1003,16 @@ TEST(ParallelEquivalenceTest, FusionFlashRunIsByteIdentical)
     // fused command building and the follower delivery loop all run on
     // top of the parallel engine, and every output — including the
     // fusion accounting itself — must stay canonical across threads.
-    const Fingerprint serial = runFusionFlash(1, true);
+    const Fingerprint serial =
+        runFusionFlash(1, true, CacheArm::Reference);
     ASSERT_GT(serial.responses, 0u);
     // The packer must actually have fused, or the matrix proves nothing.
     ASSERT_GT(metricValue(serial, "fusion.fused_launches"), 0.0);
     ASSERT_GT(metricValue(serial, "fusion.saved_warps"), 0.0);
     for (unsigned threads : kThreadCounts)
-        expectIdentical(serial, runFusionFlash(threads, true), threads);
+        expectIdentical(serial,
+                        runFusionFlash(threads, true, CacheArm::Reference),
+                        threads);
 }
 
 TEST(ParallelEquivalenceTest, FusionOnMatchesFusionOffResponses)
@@ -1011,8 +1022,8 @@ TEST(ParallelEquivalenceTest, FusionOnMatchesFusionOffResponses)
     // contexts), fusing cohorts changes pipeline timing but not a
     // single response byte. Compared via the order-insensitive digest,
     // across arms and thread counts.
-    const Fingerprint off = runFusionFlash(1, false, 0, false);
-    const Fingerprint on = runFusionFlash(1, true, 0, false);
+    const Fingerprint off = runFusionFlash(1, false, CacheArm::Own, false);
+    const Fingerprint on = runFusionFlash(1, true, CacheArm::Own, false);
     ASSERT_GT(off.responses, 0u);
     EXPECT_EQ(on.responses, off.responses);
     EXPECT_EQ(on.errors, off.errors);
@@ -1022,7 +1033,7 @@ TEST(ParallelEquivalenceTest, FusionOnMatchesFusionOffResponses)
     EXPECT_EQ(metricValue(off, "fusion.fused_launches"), 0.0);
     for (unsigned threads : kThreadCounts) {
         SCOPED_TRACE("sim-threads=" + std::to_string(threads));
-        EXPECT_EQ(runFusionFlash(threads, true, 0, false)
+        EXPECT_EQ(runFusionFlash(threads, true, CacheArm::Own, false)
                       .responseDigestSum,
                   off.responseDigestSum);
     }
@@ -1034,12 +1045,13 @@ TEST(ParallelEquivalenceTest, FusionWithCacheIsByteIdentical)
     // fingerprints: the cache must stay wall-clock-only (identical
     // outputs to the uncached fusion run) with thread-invariant
     // accounting.
-    const Fingerprint uncached = runFusionFlash(1, true);
-    const Fingerprint cached = runFusionFlash(1, true, 4096);
+    const Fingerprint uncached =
+        runFusionFlash(1, true, CacheArm::Reference);
+    const Fingerprint cached = runFusionFlash(1, true);
     expectIdentical(uncached, cached, 1);
     EXPECT_GT(cached.cacheStats.insertions, 0u);
     for (unsigned threads : kThreadCounts) {
-        const Fingerprint parallel = runFusionFlash(threads, true, 4096);
+        const Fingerprint parallel = runFusionFlash(threads, true);
         expectIdentical(uncached, parallel, threads);
         expectSameCacheStats(cached.cacheStats, parallel.cacheStats,
                              threads);
@@ -1084,7 +1096,7 @@ TEST(ParallelEquivalenceTest, Fig8SizedVariantEvaluationIsIdentical)
 // The per-device event streams merge canonically, so a sharded run is
 // as deterministic as a single-device one: byte-identical responses,
 // metrics (per-device namespaces included), trace, dispatch order and
-// order hash across --sim-threads — and across profile-cache on/off.
+// order hash across --sim-threads — and against the uncached reference.
 
 TEST(ParallelEquivalenceTest, TwoDeviceFleetIsByteIdentical)
 {
@@ -1105,13 +1117,13 @@ TEST(ParallelEquivalenceTest, FourDeviceFleetIsByteIdentical)
 TEST(ParallelEquivalenceTest, FleetWithProfileCacheIsByteIdentical)
 {
     // Per-device caches must not perturb anything simulated, serial or
-    // parallel — and the cache-off and cache-on runs must deliver the
-    // same response bytes.
-    const Fingerprint off = runFleet(1, 2);
-    const Fingerprint on = runFleet(1, 2, 512);
+    // parallel — and the uncached reference and cached runs must
+    // deliver the same response bytes.
+    const Fingerprint off = runFleet(1, 2, CacheArm::Reference);
+    const Fingerprint on = runFleet(1, 2);
     EXPECT_EQ(off.responseDigestSum, on.responseDigestSum);
     EXPECT_EQ(off.orderHash, on.orderHash);
-    expectIdentical(on, runFleet(8, 2, 512), 8);
+    expectIdentical(on, runFleet(8, 2), 8);
 }
 
 } // namespace

@@ -4,7 +4,7 @@
 Usage:
     equivalence.py BUILD_DIR [OUT_DIR]
 
-Threads, the profile cache, the overlapped pipeline, explicit default
+Threads, host-stage fan-out, the overlapped pipeline, explicit default
 policies, fusion and fleet size may change wall-clock or modeled timing,
 never the outputs they claim not to touch. Each MATRIX row is a group of
 flag sets: every run writes the group's outputs (--json, --trace-out,
@@ -54,11 +54,10 @@ def overlap(ty, ov, n):
             "--users=2000", "--lane-sample=128", f"--overlap={ov}", t(n))
 
 
-def fusion(fu, pc, n):
+def fusion(fu, n):
     return ("--workload=banking", "--cohort-size=128", "--lane-sample=128",
             "--cohorts=30", "--arrival=poisson", "--arrival-rate=50000",
-            "--contexts=1024", "--seed=7", f"--fusion={fu}",
-            f"--profile-cache={pc}", t(n))
+            "--contexts=1024", "--seed=7", f"--fusion={fu}", t(n))
 
 
 def fleet(d, *extra):
@@ -67,17 +66,12 @@ def fleet(d, *extra):
             "--cross-shard=0.005") + extra
 
 
-FUSION_ARMS = [(fu, pc) for fu in OFF_ON for pc in OFF_ON]
-
 MATRIX = [
     # The parallel engine's determinism contract: --sim-threads only
-    # changes wall-clock, never results.
+    # changes wall-clock, never results. (Memoization has no flag: the
+    # C++ tests compare it with the uncached reference through
+    # Engine::setProfileCache, DESIGN.md Section 6e.)
     Group("threads", JT, [BASE, BASE + (t(8),)]),
-    # DESIGN.md Section 6e: the warp profile cache changes host
-    # wall-clock only, serial and parallel alike (rhythm_sim defaults to
-    # the cache off, so the flagless run is the cache-off reference).
-    Group("profile-cache", JT,
-          [BASE] + [BASE + (t(n), "--profile-cache=on") for n in THREADS]),
     # DESIGN.md Section 6f: handler stages run lane-parallel except the
     # audited serial ones — Login's session-creating stage and Logout's
     # session-destroying stage. These two types mix serial and parallel
@@ -87,11 +81,9 @@ MATRIX = [
             [BASE + (f"--type={ty}", t(n)) for n in THREADS])
       for ty in ("login", "logout")],
     # Chat and search run every stage lane-parallel (chat posts mutate
-    # the room store in the serial merge): identical across threads and
-    # profile cache off/on.
+    # the room store in the serial merge): identical across threads.
     *[Group(f"host-stage-{w}", JD,
-            [(f"--workload={w}", "--cohorts=3", t(n), f"--profile-cache={pc}")
-             for pc in OFF_ON for n in THREADS])
+            [(f"--workload={w}", "--cohorts=3", t(n)) for n in THREADS])
       for w in ("chat", "search")],
     # DESIGN.md Section 6h: the overlapped pipeline double-buffers
     # parser batches and scissors PCIe transfers, but must never change
@@ -124,23 +116,21 @@ MATRIX = [
     # changes a response byte. Proven in the completion-independent
     # configuration (open-loop Poisson, fixed batching, contexts sized
     # so dispatch never waits on a completion), where cohort
-    # composition is a pure function of the arrival sequence: all eight
+    # composition is a pure function of the arrival sequence: all four
     # runs share one digest, and each arm's JSON is identical across
     # threads.
     Group("fusion-digest", JD,
-          [fusion(fu, pc, n) for fu, pc in FUSION_ARMS for n in THREADS],
+          [fusion(fu, n) for fu in OFF_ON for n in THREADS],
           compare=("digest",)),
-    *[Group(f"fusion-{fu}-{pc}", JD, [fusion(fu, pc, n) for n in THREADS],
+    *[Group(f"fusion-{fu}", JD, [fusion(fu, n) for n in THREADS],
             compare=("json",))
-      for fu, pc in FUSION_ARMS],
+      for fu in OFF_ON],
     # DESIGN.md Section 6k: --devices=1 takes the single-Titan path
     # untouched, and an N-device fleet (per-device event streams merged
-    # canonically) is identical across --sim-threads and --profile-cache
-    # exactly like one device.
+    # canonically) is identical across --sim-threads exactly like one
+    # device.
     Group("fleet-d1", JT, [BASE, BASE + ("--devices=1",)]),
-    *[Group(f"fleet-d{d}", JD,
-            [fleet(d, t(1)), fleet(d, t(8)),
-             fleet(d, "--profile-cache=on", t(8))])
+    *[Group(f"fleet-d{d}", JD, [fleet(d, t(1)), fleet(d, t(8))])
       for d in (2, 4)],
 ]
 

@@ -92,7 +92,6 @@ report(const core::RhythmServer &server, const simt::Device &device,
        const des::EventQueue &queue, const platform::TitanPowerModel &pm,
        const fault::FaultPlan *plan = nullptr, bool robust = false,
        bench::Reporter *rep = nullptr,
-       const simt::ProfileCache *cache = nullptr,
        const backend::RecoverableBackend *recovery = nullptr)
 {
     const core::RhythmStats &stats = server.stats();
@@ -218,10 +217,10 @@ report(const core::RhythmServer &server, const simt::Device &device,
     }
 
     // Human-readable cache summary (stdout only: the --json document
-    // must stay byte-identical with the cache on or off, so these
+    // must stay byte-identical to the uncached reference, so these
     // numbers are deliberately NOT metrics — bench_sim_speedup emits
     // them in its own JSON instead).
-    if (cache) {
+    if (const simt::ProfileCache *cache = device.engine().profileCache()) {
         const simt::ProfileCache::Stats &cs = cache->stats();
         TableWriter ct({"profile cache", "value"});
         ct.addRow({"cross-launch hits", withCommas(cs.hits)});
@@ -299,10 +298,10 @@ report(const core::RhythmServer &server, const simt::Device &device,
 /**
  * Fleet-mode report (DESIGN.md 6k): aggregate goodput plus a
  * per-device section. Every number is simulated state, so the JSON
- * document is byte-identical across --sim-threads and --profile-cache
- * settings exactly like the single-device report. The obs.* ride-along
- * uses the same baseline-excluded span; the flatten rule additionally
- * drops the per-device "dev<i>." namespaces from that gated set.
+ * document is byte-identical across --sim-threads exactly like the
+ * single-device report. The obs.* ride-along uses the same
+ * baseline-excluded span; the flatten rule additionally drops the
+ * per-device "dev<i>." namespaces from that gated set.
  */
 void
 fleetReport(core::Fleet &fleet, const des::EventQueue &queue,
@@ -587,14 +586,6 @@ main(int argc, char **argv)
     const uint64_t total =
         static_cast<uint64_t>(cohorts) * cfg.cohortSize;
 
-    // ---- Warp profile cache (host-side memoization, off by default) --
-    const bool pc_on = flags.on("profile-cache");
-    const uint64_t pc_entries = flags.u64("profile-cache-entries");
-    if (pc_on)
-        cfg.traceTemplateCacheEntries = static_cast<uint32_t>(pc_entries);
-    // Outlives every workload branch's device; attached only when on.
-    simt::ProfileCache profile_cache(pc_entries);
-
     // ---- Observability -----------------------------------------------
     bench::Reporter json_report("rhythm_sim", flags.text("json"));
     const std::string &trace_path = flags.text("trace-out");
@@ -649,23 +640,10 @@ main(int argc, char **argv)
                               std::string_view response, des::Time) {
                         digest.add(client_id, response);
                     });
-            // Per-device profile caches: one shared cache would leak
-            // warp profiles across shards.
-            std::vector<std::unique_ptr<simt::ProfileCache>> caches;
             fault::FaultPlan plan(fcfg);
-            for (uint32_t i = 0; i < fleet.devices(); ++i) {
-                if (pc_on) {
-                    caches.push_back(
-                        std::make_unique<simt::ProfileCache>(
-                            pc_entries));
-                    fleet.device(i).engine().setProfileCache(
-                        caches.back().get());
-                }
-                if (faults_on) {
-                    fleet.server(i).setFaultPlan(&plan);
-                    fault::installDeviceFaults(fleet.device(i), plan,
-                                               queue);
-                }
+            for (uint32_t i = 0; i < fleet.devices() && faults_on; ++i) {
+                fleet.server(i).setFaultPlan(&plan);
+                fault::installDeviceFaults(fleet.device(i), plan, queue);
             }
 
             const uint64_t per_shard = std::max<uint64_t>(
@@ -729,8 +707,6 @@ main(int argc, char **argv)
         if (observe)
             obs::global().enable(queue);
         simt::Device device(queue, variant.device);
-        if (pc_on)
-            device.engine().setProfileCache(&profile_cache);
         core::BankingService service(db);
         bench::applyBatching(flags, cfg, service);
         core::RhythmServer server(queue, device, service, cfg);
@@ -818,42 +794,48 @@ main(int argc, char **argv)
         queue.run();
         report(server, device, queue, variant.power,
                faults_on ? &plan : nullptr, robust, &json_report,
-               pc_on ? &profile_cache : nullptr, recoverable.get());
+               recoverable.get());
         return finish(json_report, trace_path, digest);
     }
+
+    // Chat and search: one device serving a closed loop that pulls
+    // requests from next() until the run's total is issued.
+    const auto serve_closed_loop =
+        [&](core::Service &service,
+            const std::function<std::string()> &next) {
+            des::EventQueue queue;
+            if (observe)
+                obs::global().enable(queue);
+            simt::Device device(queue, variant.device);
+            bench::applyBatching(flags, cfg, service);
+            core::RhythmServer server(queue, device, service, cfg);
+            digest.attach(server);
+            fault::FaultPlan plan(fcfg);
+            if (faults_on) {
+                server.setFaultPlan(&plan);
+                fault::installDeviceFaults(device, plan, queue);
+            }
+
+            uint64_t issued = 0;
+            server.start([&]() -> std::optional<std::string> {
+                if (issued >= total)
+                    return std::nullopt;
+                ++issued;
+                return next();
+            });
+            queue.run();
+            report(server, device, queue, variant.power,
+                   faults_on ? &plan : nullptr, robust, &json_report);
+        };
 
     if (workload == "chat") {
         chat::RoomStore store(256, 40, seed);
         chat::ChatGenerator gen(store, seed * 13 + 5);
-
-        des::EventQueue queue;
-        if (observe)
-            obs::global().enable(queue);
-        simt::Device device(queue, variant.device);
-        if (pc_on)
-            device.engine().setProfileCache(&profile_cache);
         chat::ChatService service(store);
-        bench::applyBatching(flags, cfg, service);
-        core::RhythmServer server(queue, device, service, cfg);
-        digest.attach(server);
-        fault::FaultPlan plan(fcfg);
-        if (faults_on) {
-            server.setFaultPlan(&plan);
-            fault::installDeviceFaults(device, plan, queue);
-        }
-
-        uint64_t issued = 0;
-        server.start([&]() -> std::optional<std::string> {
-            if (issued >= total)
-                return std::nullopt;
-            ++issued;
+        serve_closed_loop(service, [&gen]() {
             chat::PageType type;
             return gen.next(type);
         });
-        queue.run();
-        report(server, device, queue, variant.power,
-               faults_on ? &plan : nullptr, robust, &json_report,
-               pc_on ? &profile_cache : nullptr);
         std::cout << "messages posted during run: "
                   << withCommas(store.totalPosted() - 256ull * 40)
                   << "\n";
@@ -865,33 +847,7 @@ main(int argc, char **argv)
     search::Corpus corpus(docs, 4096, seed);
     search::InvertedIndex index(corpus);
     search::QueryGenerator gen(corpus, seed * 17 + 3);
-
-    des::EventQueue queue;
-    if (observe)
-        obs::global().enable(queue);
-    simt::Device device(queue, variant.device);
-    if (pc_on)
-        device.engine().setProfileCache(&profile_cache);
     search::SearchService service(index);
-    bench::applyBatching(flags, cfg, service);
-    core::RhythmServer server(queue, device, service, cfg);
-    digest.attach(server);
-    fault::FaultPlan plan(fcfg);
-    if (faults_on) {
-        server.setFaultPlan(&plan);
-        fault::installDeviceFaults(device, plan, queue);
-    }
-
-    uint64_t issued = 0;
-    server.start([&]() -> std::optional<std::string> {
-        if (issued >= total)
-            return std::nullopt;
-        ++issued;
-        return gen.next().raw;
-    });
-    queue.run();
-    report(server, device, queue, variant.power,
-           faults_on ? &plan : nullptr, robust, &json_report,
-           pc_on ? &profile_cache : nullptr);
+    serve_closed_loop(service, [&gen]() { return gen.next().raw; });
     return finish(json_report, trace_path, digest);
 }

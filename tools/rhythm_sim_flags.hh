@@ -46,11 +46,6 @@ inline constexpr Flag kSimFlagRows[] = {
     Flag::boolean("padding", "on", "whitespace-pad responses"),
     Flag::u64("seed", 0, kU64Max, "42", "deterministic seed")
         .records("seed"),
-    Flag::boolean("profile-cache", "off",
-                  "memoize warp profiles across launches (host wall-clock "
-                  "only; outputs are byte-identical either way)"),
-    Flag::u64("profile-cache-entries", 1, 1e7, "4096",
-              "profile cache capacity, warp entries"),
     Flag::path("trace-out", "Chrome trace_event JSON of the run (perfetto)"),
     Flag::path("digest-out",
                "order-insensitive FNV-1a digest of every response"),

@@ -11,7 +11,9 @@ text is the list of flags to probe:
       2 with `error:` on stderr -- never 0, never a signal. So must the
       shared-family flags a bench does not read (UNDECLARED). Each example
       program's positional integers get the same bad values, each
-      position's out-of-range values, and one surplus argument.
+      position's out-of-range values, and one surplus argument. A
+      flagless run of each HELP_DEFAULTS bench must record each flag
+      it records under the flag's name at its --help default.
   test_cli.py edges BUILD_DIR
       rhythm_sim at --cohorts=1 --cohort-size=64 with each numeric
       flag at, and just outside, both ends of its declared range must
@@ -25,10 +27,12 @@ google-benchmark, which rejects unknown ones itself.
 """
 
 import concurrent.futures
+import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 BAD_VALUES = ["abc", "nan", "-1", "1e30", "3x"]
 
@@ -72,10 +76,14 @@ UNDECLARED = {
     "ext_timeout_tradeoff": NO_RECOVERY,
 }
 
+# Benches whose flagless --json config is checked against their --help.
+HELP_DEFAULTS = ["ext_overlap"]
+
 HELP_LINE = re.compile(
     r"^  --(?P<neg>\[no-\])?(?P<name>[a-z0-9-]+)(?P<prefix><type>)?"
     r"(?P<arg>\[=on\|off\]|=\S+)?\s")
 RANGE = re.compile(r"in (?P<open>[\[(])(?P<lo>[-0-9.e+]+), (?P<hi>[-0-9.e+]+)\]")
+DEFAULT = re.compile(r"\(default (?P<value>[^)]+)\)$")
 
 
 def binaries(build):
@@ -189,6 +197,23 @@ def boundary(build):
         cases += [(f"{name} {' '.join(a)}", [binary] + a) for a in args]
     failures = check_all(cases, expect_usage_error)
     print(f"{len(cases)} malformed command lines checked")
+    return failures + help_defaults(build)
+
+
+def help_defaults(build):
+    failures = []
+    for name in HELP_DEFAULTS:
+        binary = os.path.join(build, "bench", name)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.json")
+            run([binary, f"--json={path}"], timeout=600)
+            with open(path, encoding="utf-8") as f:
+                config = json.load(f)["config"]
+        for flag, _, line in flags_of(binary):
+            key, m = flag.replace("-", "_"), DEFAULT.search(line.rstrip())
+            if key in config and (not m or float(m["value"]) != config[key]):
+                failures.append(f"{name}: a flagless run records "
+                                f"{key}={config[key]}, --help says {line}")
     return failures
 
 
