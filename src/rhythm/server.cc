@@ -16,7 +16,9 @@ namespace {
 constexpr uint64_t kRequestRegionBase = 0x9000'0000;
 
 /** Bound on the parser trace templates a server keeps (distinct raw
- *  requests); later distinct requests are recorded but not kept. */
+ *  requests); later distinct requests are recorded but not kept. Also
+ *  the slot count of the direct-mapped table of raw-request hashes
+ *  that admits a template on its request's second sighting. */
 constexpr size_t kParserTemplates = 4096;
 
 /** 503 for requests rejected by the load shedder. */
@@ -174,6 +176,7 @@ RhythmServer::RhythmServer(des::EventQueue &queue, simt::Device &device,
       sloLatencyMs_(std::max<uint32_t>(config.sloWindow, 1))
 {
     RHYTHM_ASSERT(config_.cohortSize > 0);
+    parserSightings_.resize(kParserTemplates);
     sessions_ = std::make_unique<SessionArray>(
         config_.cohortSize, config_.sessionNodesPerBucket);
     parserStream_ = device_.createStream();
@@ -568,8 +571,16 @@ RhythmServer::parseBatch(std::unique_ptr<ReaderBatch> batch, uint64_t seq)
     for (uint32_t i = 0; i < sample; ++i) {
         if (hit_tmpl[i] || parserTemplates_.size() >= kParserTemplates)
             continue;
-        parserTemplates_.try_emplace((*parsed)[i].raw,
-                                     std::move(fresh_tmpl[i]));
+        // Keep a template only for a raw request seen before, so a
+        // stream whose requests never repeat stores none.
+        const std::string &raw = (*parsed)[i].raw;
+        const uint64_t hash = std::hash<std::string>{}(raw);
+        uint64_t &seen = parserSightings_[hash % kParserTemplates];
+        if (seen != hash) {
+            seen = hash;
+            continue;
+        }
+        parserTemplates_.try_emplace(raw, std::move(fresh_tmpl[i]));
     }
 
     std::vector<const simt::ThreadTrace *> ptrs;

@@ -644,6 +644,9 @@ class RhythmServer
      * Section 6e). Bounded by a constant in server.cc.
      */
     std::unordered_map<std::string, simt::ThreadTrace> parserTemplates_;
+    /** Hash of the last raw request seen in each slot of a
+     *  direct-mapped table: a template is kept on a second sighting. */
+    std::vector<uint64_t> parserSightings_;
 
     fault::FaultPlan *faultPlan_ = nullptr;
     /** Clients that disconnected while their request was in flight. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 #include <vector>
 
@@ -12,17 +13,17 @@ namespace rhythm::simt {
 namespace {
 
 /**
- * Fixed-capacity u64 buffer that spills to the heap instead of
- * dropping values. The inline array covers the hot path (a warp's
- * lanes, narrow accesses) allocation-free; wide accesses that straddle
- * many segments overflow into the vector and are merged before use, so
- * counts stay exact instead of silently truncating.
+ * Fixed-capacity buffer that spills to the heap instead of dropping
+ * values. The inline array covers the hot path (a warp's lanes, narrow
+ * accesses) allocation-free; wide accesses that straddle many segments
+ * overflow into the vector and are merged before use, so counts stay
+ * exact instead of silently truncating.
  */
-template <size_t N>
+template <typename T, size_t N>
 class SpillBuf
 {
   public:
-    void push(uint64_t v)
+    void push(T v)
     {
         if (n_ < N)
             inline_[n_++] = v;
@@ -31,18 +32,18 @@ class SpillBuf
     }
 
     /** Contiguous view of all values (merges the spill if engaged). */
-    std::span<uint64_t> values()
+    std::span<T> values()
     {
         if (spill_.empty())
-            return std::span<uint64_t>(inline_.data(), n_);
+            return std::span<T>(inline_.data(), n_);
         spill_.insert(spill_.end(), inline_.begin(), inline_.begin() + n_);
         n_ = 0;
-        return std::span<uint64_t>(spill_);
+        return std::span<T>(spill_);
     }
 
   private:
-    std::array<uint64_t, N> inline_;
-    std::vector<uint64_t> spill_;
+    std::array<T, N> inline_;
+    std::vector<T> spill_;
     size_t n_ = 0;
 };
 
@@ -96,7 +97,7 @@ coalesceTransactions(std::span<const uint64_t> addrs, uint16_t width,
     // access can straddle a segment boundary), then count distinct
     // ones. Wide accesses can touch far more segments than lanes, so
     // the collection spills to the heap instead of capping the count.
-    SpillBuf<128> segments;
+    SpillBuf<uint64_t, 128> segments;
     for (uint64_t addr : addrs) {
         const uint64_t first = addr / segment_bytes;
         const uint64_t last = (addr + width - 1) / segment_bytes;
@@ -114,7 +115,7 @@ sharedBankReplays(std::span<const uint64_t> addrs)
 {
     // Count distinct addresses per bank; replays = worst bank - 1.
     // Warps wider than 64 lanes spill rather than dropping addresses.
-    SpillBuf<64> sorted;
+    SpillBuf<uint64_t, 64> sorted;
     for (uint64_t addr : addrs)
         sorted.push(addr);
     const std::span<uint64_t> vals = sorted.values();
@@ -131,6 +132,67 @@ sharedBankReplays(std::span<const uint64_t> addrs)
 }
 
 namespace {
+
+/** Period of a pattern that never repeats (see elementPeriod()). */
+constexpr uint32_t kNoPeriod = std::numeric_limits<uint32_t>::max();
+
+/**
+ * Element period of the segment pattern of the Global ops @p global.
+ * When every op shares one stride s and width, advancing element i by
+ * P = S / gcd(S, s) (S = @p segment_bytes) moves every lane by
+ * lcm(S, s) bytes, the same whole number of segments, so the
+ * distinct-segment count repeats with period P while the set of active
+ * lanes is fixed (s = 0 gives P = 1). Returns 0 when the ops differ in
+ * stride or width (no common period), and kNoPeriod when an access
+ * could wrap around 2^64, where the shift argument fails.
+ */
+uint32_t
+elementPeriod(std::span<const MemOp *const> global, uint32_t segment_bytes)
+{
+    const MemOp &first = *global[0];
+    bool wraps = false;
+    for (const MemOp *op : global) {
+        if (op->stride != first.stride || op->width != first.width)
+            return 0;
+        // count * stride + width stays below 2^64 for 32-bit operands.
+        const uint64_t reach =
+            static_cast<uint64_t>(op->count) * op->stride + op->width;
+        wraps |= op->addr > std::numeric_limits<uint64_t>::max() - reach;
+    }
+    if (wraps)
+        return kNoPeriod;
+    return segment_bytes / std::gcd(segment_bytes, first.stride);
+}
+
+/**
+ * Sums coalesceTransactions() over elements [begin, begin + len) of
+ * @p lanes, all active over the whole range and sharing the element
+ * period @p period: evaluates min(period, len) elements and multiplies
+ * the period out, adding the prefix of the remainder.
+ */
+uint64_t
+periodicTransactions(std::span<const MemOp *const> lanes, uint32_t begin,
+                     uint32_t len, uint32_t period, uint32_t segment_bytes,
+                     uint64_t *addrs)
+{
+    const uint32_t evals = std::min(period, len);
+    const uint32_t rem = len % period;
+    uint64_t period_sum = 0;
+    uint64_t rem_sum = 0;
+    for (uint32_t j = 0; j < evals; ++j) {
+        const uint64_t i = begin + j;
+        size_t n = 0;
+        for (const MemOp *op : lanes)
+            addrs[n++] = op->addr + i * op->stride;
+        const uint32_t txns = coalesceTransactions(
+            std::span<const uint64_t>(addrs, n), lanes[0]->width,
+            segment_bytes);
+        period_sum += txns;
+        if (j < rem)
+            rem_sum += txns;
+    }
+    return static_cast<uint64_t>(len / period) * period_sum + rem_sum;
+}
 
 /**
  * Coalesces one aligned group memory operation: the lanes in @p group all
@@ -187,20 +249,22 @@ coalesceGroupOp(std::span<const MemOp *const> ops, const WarpModel &model,
     }
 
     uint32_t max_count = 0;
+    SpillBuf<const MemOp *, 64> global_ops;
     for (const MemOp *op : ops) {
         if (op->space == MemSpace::Global) {
             stats.globalBytes +=
                 static_cast<uint64_t>(op->count) * op->width;
             max_count = std::max(max_count, op->count);
+            global_ops.push(op);
         }
     }
     if (max_count == 0)
         return;
+    const std::span<const MemOp *> global = global_ops.values();
+    const uint32_t period = elementPeriod(global, model.segmentBytes);
 
-    // Detect the uniform pattern (same count/stride/width, arithmetic
-    // lane bases): closed-form evaluation using a sampled window, exact
-    // otherwise. The sampled window is exact whenever the per-element
-    // segment pattern is periodic, which holds for arithmetic sequences.
+    // Detect the uniform pattern (same count/stride/width across an
+    // all-Global group) for the long-access extrapolation below.
     bool uniform = ops.size() > 1;
     for (const MemOp *op : ops) {
         if (op->space != MemSpace::Global || op->count != ops[0]->count ||
@@ -220,25 +284,41 @@ coalesceGroupOp(std::span<const MemOp *const> ops, const WarpModel &model,
     const uint32_t kExactLimit = 4096;
 
     if (uniform && max_count > kExactLimit) {
-        // Sample a window of elements and extrapolate; the pattern of
-        // segment counts repeats with period lcm(segment, stride)/stride
-        // which the 128-element window covers for power-of-two strides.
+        // Sum a 128-element window and extrapolate it to the count,
+        // rounding up. This is exact only when the count is a multiple
+        // of the element period P (see elementPeriod()); otherwise the
+        // window's average stands in for the partial last period.
         const uint32_t window = 128;
-        uint64_t window_txns = 0;
-        for (uint32_t i = 0; i < window; ++i) {
-            size_t n = 0;
-            for (const MemOp *op : ops)
-                addrs[n++] = op->addr + static_cast<uint64_t>(i) * op->stride;
-            window_txns += coalesceTransactions(
-                std::span<const uint64_t>(addrs, n), ops[0]->width,
-                model.segmentBytes);
-        }
+        const uint64_t window_txns = periodicTransactions(
+            global, 0, window, period, model.segmentBytes, addrs);
         stats.globalTransactions +=
             window_txns * max_count / window +
             ((window_txns * max_count) % window ? 1 : 0);
         return;
     }
 
+    if (period != 0) {
+        // Split [0, max_count) at the lanes' counts into sub-ranges with
+        // a fixed lane set; each is periodic. Sorted by descending
+        // count, the lanes active up to a count are a prefix.
+        std::sort(global.begin(), global.end(),
+                  [](const MemOp *a, const MemOp *b) {
+                      return a->count > b->count;
+                  });
+        uint32_t begin = 0;
+        for (size_t k = global.size(); k-- > 0;) {
+            const uint32_t end = global[k]->count;
+            if (end <= begin)
+                continue;
+            stats.globalTransactions += periodicTransactions(
+                global.first(k + 1), begin, end - begin, period,
+                model.segmentBytes, addrs);
+            begin = end;
+        }
+        return;
+    }
+
+    // Mixed strides or widths share no period: coalesce every element.
     for (uint32_t i = 0; i < max_count; ++i) {
         size_t n = 0;
         uint16_t width = 4;

@@ -566,6 +566,154 @@ TEST(SharedBanks, ReplaysFlowIntoWarpStatsAndCost)
               computeKernelCost(clean, cfg).deviceSeconds);
 }
 
+// Brute-force oracle for one aligned group memory op: coalesces every
+// element index on its own (the width is the last active Global lane's),
+// except that an all-Global group of equal count, stride and width
+// above 4096 elements takes the long-access extrapolation: a
+// 128-element window scaled to the count, rounded up.
+uint64_t
+oracleGroupTransactions(const std::vector<MemOp> &group,
+                        uint32_t segment_bytes)
+{
+    uint32_t max_count = 0;
+    bool uniform = group.size() > 1;
+    for (const MemOp &op : group) {
+        if (op.space == MemSpace::Global)
+            max_count = std::max(max_count, op.count);
+        if (op.space != MemSpace::Global || op.count != group[0].count ||
+            op.stride != group[0].stride || op.width != group[0].width)
+            uniform = false;
+    }
+    auto element = [&](uint32_t i) -> uint64_t {
+        std::vector<uint64_t> addrs;
+        uint16_t width = 4;
+        for (const MemOp &op : group) {
+            if (op.space == MemSpace::Global && i < op.count) {
+                addrs.push_back(op.addr + static_cast<uint64_t>(i) * op.stride);
+                width = op.width;
+            }
+        }
+        return addrs.empty()
+                   ? 0
+                   : coalesceTransactions(addrs, width, segment_bytes);
+    };
+    uint64_t total = 0;
+    if (uniform && max_count > 4096) {
+        for (uint32_t i = 0; i < 128; ++i)
+            total += element(i);
+        return (total * max_count + 127) / 128;
+    }
+    for (uint32_t i = 0; i < max_count; ++i)
+        total += element(i);
+    return total;
+}
+
+// Property sweep: simulateWarp's transaction count equals the
+// per-element oracle on random single-block warps. The seed picks the
+// shared stride and width (every pair of the lists below recurs) and
+// the warp and segment sizes; the rest is drawn: lane layout, per-lane
+// counts (equal, a few distinct values or independent, 1 to 5000),
+// Constant lanes mixed into a Global op, and ops whose lanes differ in
+// stride or width.
+class CoalescerOracleProperty : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(CoalescerOracleProperty, MatchesPerElementOracle)
+{
+    static constexpr uint32_t kStrides[] = {0, 1, 3, 4, 100, 128, 16384};
+    static constexpr uint16_t kWidths[] = {1, 4, 8, 200};
+    const uint64_t seed = GetParam();
+    rhythm::Rng rng(seed);
+    WarpModel model;
+    model.warpWidth = (seed / 28) % 2 ? 64 : 32;
+    model.segmentBytes = (seed / 56) % 2 ? 64 : 128;
+    const uint32_t stride = kStrides[seed % 7];
+    const uint16_t width = kWidths[(seed / 7) % 4];
+
+    const size_t lanes = static_cast<size_t>(
+        rng.nextRange(1, model.warpWidth));
+    auto draw_count = [&]() -> uint32_t {
+        return static_cast<uint32_t>(rng.nextBool(0.5)
+                                         ? rng.nextRange(1, 300)
+                                         : rng.nextRange(1, 5000));
+    };
+
+    // groups[j][l]: lane l's op at op index j of the block.
+    std::vector<std::vector<MemOp>> groups(
+        static_cast<size_t>(rng.nextRange(1, 3)));
+    for (auto &group : groups) {
+        const bool mixed_shape = rng.nextBool(0.25);
+        const bool with_constant = rng.nextBool(0.2);
+        const int count_mode = static_cast<int>(rng.nextRange(0, 2));
+        uint32_t common_count = draw_count();
+        if (count_mode == 0 && rng.nextBool(0.3))
+            common_count = static_cast<uint32_t>(rng.nextRange(4097, 5000));
+        uint32_t few_counts[3] = {draw_count(), draw_count(), draw_count()};
+        static constexpr uint64_t kLaneGaps[] = {4, 8, 200, 4096};
+        const uint64_t lane_gap = kLaneGaps[rng.nextBounded(4)];
+        const bool random_bases = rng.nextBool(0.3);
+        const uint64_t base = rng.nextBounded(1 << 20);
+        for (size_t l = 0; l < lanes; ++l) {
+            MemOp op;
+            op.addr = random_bases ? rng.nextBounded(1 << 24)
+                                   : base + l * lane_gap;
+            op.stride = stride;
+            op.width = width;
+            if (mixed_shape && rng.nextBool(0.5)) {
+                op.stride = kStrides[rng.nextBounded(7)];
+                op.width = kWidths[rng.nextBounded(4)];
+            }
+            op.count = count_mode == 0   ? common_count
+                       : count_mode == 1 ? few_counts[rng.nextBounded(3)]
+                                         : draw_count();
+            if (with_constant && rng.nextBool(0.3))
+                op.space = MemSpace::Constant;
+            group.push_back(op);
+        }
+    }
+
+    std::vector<ThreadTrace> traces(lanes);
+    uint64_t expected = 0;
+    for (size_t l = 0; l < lanes; ++l) {
+        RecordingTracer rec(traces[l]);
+        rec.block(1, 10);
+        for (const auto &group : groups)
+            rec.memory(group[l]);
+    }
+    for (const auto &group : groups)
+        expected += oracleGroupTransactions(group, model.segmentBytes);
+    auto p = ptrs(traces);
+    EXPECT_EQ(simulateWarp(p, model).globalTransactions, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, CoalescerOracleProperty,
+                         ::testing::Range<uint64_t>(0, 112));
+
+TEST(Coalescer, AccessesNearTheTopOfTheAddressSpaceMatchOracle)
+{
+    // Lane 0's element 50 straddles 2^64 and wraps, which breaks the
+    // whole-segment shift the periodic count relies on (elements 32 to
+    // 63 would otherwise repeat 0 to 31); the count must still equal
+    // the oracle's.
+    std::vector<ThreadTrace> traces(8);
+    std::vector<MemOp> group;
+    for (uint64_t l = 0; l < 8; ++l) {
+        MemOp op;
+        op.addr = ~uint64_t{0} - 5000 + l * 8;
+        op.count = 100 + static_cast<uint32_t>(l);
+        op.stride = 100;
+        op.width = 8;
+        group.push_back(op);
+        RecordingTracer rec(traces[l]);
+        rec.block(1, 10);
+        rec.memory(op);
+    }
+    auto p = ptrs(traces);
+    EXPECT_EQ(simulateWarp(p).globalTransactions,
+              oracleGroupTransactions(group, 128));
+}
+
 // Regression: the segment scratch buffer used to be a fixed
 // std::array<uint64_t, 128> that silently dropped segments beyond its
 // capacity, under-counting transactions for wide bulk accesses. The
